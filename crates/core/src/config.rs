@@ -49,12 +49,6 @@ pub struct RunConfig {
     pub moving_window_start: Option<f64>,
     #[serde(default)]
     pub filter_passes: usize,
-    #[serde(default = "default_true")]
-    pub optimized_kernels: bool,
-    /// Lane width of the blocked kernels (particles per SIMD tile);
-    /// one of 4, 8, 16.
-    #[serde(default = "default_lane_width")]
-    pub lane_width: usize,
     /// Particle-kernel precision: "f64" (bitwise-reproducible default)
     /// or "f32_particles" (single-precision gather/push/deposit).
     #[serde(default)]
@@ -101,10 +95,6 @@ fn default_order() -> usize {
 }
 fn default_true() -> bool {
     true
-}
-
-fn default_lane_width() -> usize {
-    mrpic_kernels::DEFAULT_LANE_WIDTH
 }
 
 fn default_seed() -> u64 {
@@ -412,13 +402,6 @@ impl RunConfig {
                 self.cells[1]
             ));
         }
-        if !mrpic_kernels::LANE_WIDTHS.contains(&self.lane_width) {
-            return Err(format!(
-                "lane_width must be one of {:?}, got {}",
-                mrpic_kernels::LANE_WIDTHS,
-                self.lane_width
-            ));
-        }
         if self.precision == Precision::F32Particles && !self.mr_patches.is_empty() {
             return Err(
                 "precision \"f32_particles\" cannot be combined with mr_patches \
@@ -571,8 +554,6 @@ impl RunConfig {
             })
             .seed(self.seed)
             .filter_passes(self.filter_passes)
-            .optimized_kernels(self.optimized_kernels)
-            .lane_width(self.lane_width)
             .precision(self.precision);
         if self.pml > 0 {
             b = b.pml(self.pml);
@@ -819,7 +800,6 @@ mod tests {
         // Default is f64 and serializes to the exact snake_case string.
         let cfg = RunConfig::from_json(SAMPLE).unwrap();
         assert_eq!(cfg.precision, Precision::F64);
-        assert_eq!(cfg.lane_width, mrpic_kernels::DEFAULT_LANE_WIDTH);
         let text = serde_json::to_string(&cfg).unwrap();
         assert!(text.contains("\"precision\":\"f64\""), "{text}");
         let back = RunConfig::from_json(&text).unwrap();
@@ -845,16 +825,18 @@ mod tests {
         assert!(RunConfig::from_json(&text).is_err());
     }
 
+    /// The kernel family is not configurable: a deck still carrying one
+    /// of the retired kernel-selection keys is rejected by name instead
+    /// of being silently ignored.
     #[test]
-    fn lane_width_validates_and_flows() {
-        let mut cfg = RunConfig::from_json(SAMPLE).unwrap();
-        cfg.lane_width = 5;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("lane_width"), "{err}");
-        cfg.lane_width = 16;
-        cfg.validate().unwrap();
-        let (sim, _) = cfg.build().unwrap();
-        assert_eq!(sim.lane_width, 16);
+    fn rejects_retired_kernel_keys() {
+        for frag in ["\"lane_width\": 8,", "\"optimized_kernels\": false,"] {
+            let text =
+                SAMPLE.replacen("\"t_end\": 2e-14,", &format!("\"t_end\": 2e-14, {frag}"), 1);
+            let err = RunConfig::from_json(&text).unwrap_err();
+            let key = frag.split('"').nth(1).unwrap();
+            assert!(err.contains(&format!("unknown field `{key}`")), "{err}");
+        }
     }
 
     #[test]

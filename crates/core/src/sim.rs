@@ -26,15 +26,19 @@ use mrpic_field::fieldset::{
 };
 use mrpic_field::pml::Pml;
 use mrpic_field::yee;
-use mrpic_kernels::deposit::{deposit_rho2, deposit_rho3, esirkepov2, esirkepov3, JViews};
-use mrpic_kernels::gather::{gather2, gather3, EmOut, EmViews};
-use mrpic_kernels::lanes::{Lanes, DEFAULT_LANE_WIDTH, LANE_WIDTHS};
+use mrpic_kernels::deposit::{deposit_rho2, deposit_rho3, JViews};
+use mrpic_kernels::gather::{EmOut, EmViews};
+use mrpic_kernels::lanes::{Lanes, DEFAULT_LANE_WIDTH};
 use mrpic_kernels::push::{gamma_of_u, push_position, push_position2};
+use mrpic_kernels::real::Real;
 use mrpic_kernels::shape::{Cubic, Linear, Quadratic};
-use mrpic_kernels::view::{FieldView, FieldViewMut};
+use mrpic_kernels::view::{FieldView, FieldViewMut, Geom};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
+
+/// The particle-kernel family the step loop runs.
+type L = Lanes<DEFAULT_LANE_WIDTH>;
 
 /// Runtime-selected particle shape order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,28 +77,6 @@ macro_rules! with_shape {
             }
             ShapeOrder::Cubic => {
                 type $S = Cubic;
-                $body
-            }
-        }
-    };
-}
-
-/// Dispatch a lane-width-generic kernel call on a runtime width. The
-/// widths mirror [`LANE_WIDTHS`]; anything else was rejected at build
-/// time, so the fallback arm only keeps the match exhaustive.
-macro_rules! with_lanes {
-    ($lw:expr, $W:ident, $body:expr) => {
-        match $lw {
-            4 => {
-                const $W: usize = 4;
-                $body
-            }
-            16 => {
-                const $W: usize = 16;
-                $body
-            }
-            _ => {
-                const $W: usize = DEFAULT_LANE_WIDTH;
                 $body
             }
         }
@@ -198,123 +180,266 @@ fn box_kernel_hist() -> &'static mrpic_trace::metrics::Histogram {
     H.get_or_init(|| mrpic_trace::histogram("core.box_ns"))
 }
 
-/// Workspace buffers reused across boxes/steps.
+/// Per-thread particle workspace in the kernel precision `T`, reused
+/// across boxes and steps.
 #[derive(Default)]
-struct Scratch {
-    ex: Vec<f64>,
-    ey: Vec<f64>,
-    ez: Vec<f64>,
-    bx: Vec<f64>,
-    by: Vec<f64>,
-    bz: Vec<f64>,
-    x0: Vec<f64>,
-    y0: Vec<f64>,
-    z0: Vec<f64>,
-    vy: Vec<f64>,
+struct Scratch<T> {
+    /// Gathered per-particle fields (Ex, Ey, Ez, Bx, By, Bz).
+    em: [Vec<T>; 6],
+    /// Pre-push positions, the deposit's old state.
+    x0: [Vec<T>; 3],
+    /// Out-of-plane velocity at the half step (2-D deposition).
+    vy: Vec<T>,
+    /// `f32` staging only (empty in `f64` runs, whose kernels borrow the
+    /// particle buffers and fabs in place): post-push positions,
+    /// momenta, weights, guarded field windows, and per-box current
+    /// tiles accumulated into the `f64` fabs afterwards.
+    x1: [Vec<T>; 3],
+    u: [Vec<T>; 3],
+    w: Vec<T>,
+    fld: [Vec<T>; 6],
+    j: [Vec<T>; 3],
 }
 
-impl Scratch {
-    fn ensure(&mut self, n: usize) {
-        for v in [
-            &mut self.ex,
-            &mut self.ey,
-            &mut self.ez,
-            &mut self.bx,
-            &mut self.by,
-            &mut self.bz,
-            &mut self.x0,
-            &mut self.y0,
-            &mut self.z0,
-            &mut self.vy,
-        ] {
-            v.resize(n.max(v.len()), 0.0);
+/// Per-precision pools of [`Scratch`] workspaces.
+#[derive(Default)]
+struct ScratchPools {
+    f64: Mutex<Vec<Scratch<f64>>>,
+    f32: Mutex<Vec<Scratch<f32>>>,
+}
+
+/// Checks a [`Scratch`] out of its pool; returns it on drop so worker
+/// threads reuse warm buffers across boxes and steps.
+struct ScratchGuard<'a, T: Default> {
+    pool: &'a Mutex<Vec<Scratch<T>>>,
+    sc: Scratch<T>,
+}
+
+impl<'a, T: Default> ScratchGuard<'a, T> {
+    fn checkout(pool: &'a Mutex<Vec<Scratch<T>>>) -> Self {
+        let sc = pool
+            .lock()
+            .expect("scratch pool poisoned by a panicked box worker")
+            .pop()
+            .unwrap_or_default();
+        Self { pool, sc }
+    }
+}
+
+impl<T: Default> Drop for ScratchGuard<'_, T> {
+    fn drop(&mut self) {
+        // A poisoned pool just loses this workspace; never panic in drop.
+        if let Ok(mut pool) = self.pool.lock() {
+            pool.push(std::mem::take(&mut self.sc));
         }
     }
 }
 
-/// Checks a [`Scratch`] out of the shared pool; returns it on drop so
-/// worker threads reuse warm buffers across boxes and steps.
-struct ScratchGuard<'a> {
-    pool: &'a Mutex<Vec<Scratch>>,
-    sc: Scratch,
+/// Overwrite `dst` with `src` in precision `T`.
+fn stage<T: Real>(dst: &mut Vec<T>, src: &[f64]) {
+    dst.clear();
+    dst.extend(src.iter().map(|&v| T::from_f64(v)));
 }
 
-impl<'a> ScratchGuard<'a> {
-    fn checkout(pool: &'a Mutex<Vec<Scratch>>) -> Self {
-        let sc = pool.lock().unwrap().pop().unwrap_or_default();
-        Self { pool, sc }
+/// How the `f64` simulation state reaches particle kernels running in
+/// precision `Self` — the only per-precision code of the particle
+/// advance. `f64` borrows particle attributes, field windows and current
+/// fabs in place; `f32` casts them into [`Scratch`], writes momenta
+/// back, and accumulates its current tiles into the `f64` fabs.
+trait KernelReal: Real {
+    fn pool(pools: &ScratchPools) -> &Mutex<Vec<Scratch<Self>>>;
+
+    /// `src` as a kernel operand (`scratch` holds the cast copy).
+    fn operand<'a>(src: &'a [f64], scratch: &'a mut Vec<Self>) -> &'a [Self];
+
+    /// `src` as a mutable kernel operand; changes reach `src` through
+    /// [`KernelReal::write_back`].
+    fn operand_mut<'a>(src: &'a mut [f64], scratch: &'a mut Vec<Self>) -> &'a mut [Self];
+
+    /// Store a mutated [`KernelReal::operand_mut`] back into `dst`.
+    fn write_back(dst: &mut [f64], scratch: &[Self]);
+
+    /// Make `old` hold the pre-push positions `src` after
+    /// [`KernelReal::operand`] staged them there: `f64` copies (the one
+    /// copy its advance makes), `f32` already holds the cast.
+    fn save_old(src: &[f64], old: &mut Vec<Self>);
+
+    /// The six field windows as kernel views (`scratch` holds the casts).
+    fn fields<'a>(src: EmViews<'a, f64>, scratch: &'a mut [Vec<Self>; 6]) -> EmViews<'a, Self>;
+
+    /// Run `deposit` against the current views `j` (through `tiles`).
+    fn deposit_into(
+        j: [FieldViewMut<'_, f64>; 3],
+        tiles: &mut [Vec<Self>; 3],
+        deposit: impl FnOnce(&mut JViews<'_, Self>),
+    );
+}
+
+impl KernelReal for f64 {
+    fn pool(pools: &ScratchPools) -> &Mutex<Vec<Scratch<f64>>> {
+        &pools.f64
+    }
+
+    fn operand<'a>(src: &'a [f64], _: &'a mut Vec<f64>) -> &'a [f64] {
+        src
+    }
+
+    fn operand_mut<'a>(src: &'a mut [f64], _: &'a mut Vec<f64>) -> &'a mut [f64] {
+        src
+    }
+
+    fn write_back(_: &mut [f64], _: &[f64]) {}
+
+    fn save_old(src: &[f64], old: &mut Vec<f64>) {
+        old.clear();
+        old.extend_from_slice(src);
+    }
+
+    fn fields<'a>(src: EmViews<'a, f64>, _: &'a mut [Vec<f64>; 6]) -> EmViews<'a, f64> {
+        src
+    }
+
+    fn deposit_into(
+        [jx, jy, jz]: [FieldViewMut<'_, f64>; 3],
+        _: &mut [Vec<f64>; 3],
+        deposit: impl FnOnce(&mut JViews<'_, f64>),
+    ) {
+        deposit(&mut JViews { jx, jy, jz });
     }
 }
 
-impl Drop for ScratchGuard<'_> {
-    fn drop(&mut self) {
-        self.pool.lock().unwrap().push(std::mem::take(&mut self.sc));
+impl KernelReal for f32 {
+    fn pool(pools: &ScratchPools) -> &Mutex<Vec<Scratch<f32>>> {
+        &pools.f32
+    }
+
+    fn operand<'a>(src: &'a [f64], scratch: &'a mut Vec<f32>) -> &'a [f32] {
+        stage(scratch, src);
+        scratch
+    }
+
+    fn operand_mut<'a>(src: &'a mut [f64], scratch: &'a mut Vec<f32>) -> &'a mut [f32] {
+        stage(scratch, src);
+        scratch
+    }
+
+    fn write_back(dst: &mut [f64], scratch: &[f32]) {
+        for (d, &s) in dst.iter_mut().zip(scratch) {
+            *d = s as f64;
+        }
+    }
+
+    fn save_old(_: &[f64], _: &mut Vec<f32>) {}
+
+    fn fields<'a>(src: EmViews<'a, f64>, scratch: &'a mut [Vec<f32>; 6]) -> EmViews<'a, f32> {
+        fn cast<'a>(src: FieldView<'_, f64>, dst: &'a mut Vec<f32>) -> FieldView<'a, f32> {
+            stage(dst, src.data);
+            FieldView {
+                data: dst,
+                lo: src.lo,
+                nx: src.nx,
+                nxy: src.nxy,
+                half: src.half,
+            }
+        }
+        let [f0, f1, f2, f3, f4, f5] = scratch;
+        EmViews {
+            ex: cast(src.ex, f0),
+            ey: cast(src.ey, f1),
+            ez: cast(src.ez, f2),
+            bx: cast(src.bx, f3),
+            by: cast(src.by, f4),
+            bz: cast(src.bz, f5),
+        }
+    }
+
+    fn deposit_into(
+        j: [FieldViewMut<'_, f64>; 3],
+        tiles: &mut [Vec<f32>; 3],
+        deposit: impl FnOnce(&mut JViews<'_, f32>),
+    ) {
+        /// A zeroed `f32` tile with the layout of `v`.
+        fn tile<'a>(t: &'a mut Vec<f32>, v: &FieldViewMut<'_, f64>) -> FieldViewMut<'a, f32> {
+            t.clear();
+            t.resize(v.data.len(), 0.0);
+            FieldViewMut {
+                data: t,
+                lo: v.lo,
+                nx: v.nx,
+                nxy: v.nxy,
+                half: v.half,
+            }
+        }
+        let [tx, ty, tz] = tiles;
+        deposit(&mut JViews {
+            jx: tile(tx, &j[0]),
+            jy: tile(ty, &j[1]),
+            jz: tile(tz, &j[2]),
+        });
+        for (dst, t) in j.into_iter().zip(tiles.iter()) {
+            for (d, &s) in dst.data.iter_mut().zip(t) {
+                *d += s as f64;
+            }
+        }
     }
 }
 
-/// `f32` staging workspace for the mixed-precision particle path: field
-/// windows, particle attributes, gathered fields, and per-box current
-/// tiles all live in single precision; only positions and the global
-/// field state stay `f64`.
-#[derive(Default)]
-struct Scratch32 {
-    /// Staged field windows (Ex, Ey, Ez, Bx, By, Bz over the guarded box).
-    fld: [Vec<f32>; 6],
-    /// Gathered per-particle fields, same component order.
-    em: [Vec<f32>; 6],
-    /// Pre-push positions (cast once, reused as the deposit's old state).
-    x0: Vec<f32>,
-    y0: Vec<f32>,
-    z0: Vec<f32>,
-    /// Post-push positions.
-    x1: Vec<f32>,
-    y1: Vec<f32>,
-    z1: Vec<f32>,
-    ux: Vec<f32>,
-    uy: Vec<f32>,
-    uz: Vec<f32>,
-    w: Vec<f32>,
-    vy: Vec<f32>,
-    /// Per-box current tiles, accumulated into the `f64` fabs afterwards.
-    j: [Vec<f32>; 3],
-}
-
-impl Scratch32 {
-    fn cast(dst: &mut Vec<f32>, src: &[f64]) {
-        dst.clear();
-        dst.extend(src.iter().map(|&v| v as f32));
+/// Reborrow the `[lo, hi)` window of the gathered-field scratch.
+fn em_out<T>(em: &mut [Vec<T>; 6], lo: usize, hi: usize) -> EmOut<'_, T> {
+    let [ex, ey, ez, bx, by, bz] = em;
+    EmOut {
+        ex: &mut ex[lo..hi],
+        ey: &mut ey[lo..hi],
+        ez: &mut ez[lo..hi],
+        bx: &mut bx[lo..hi],
+        by: &mut by[lo..hi],
+        bz: &mut bz[lo..hi],
     }
 }
 
-/// Pool guard for [`Scratch32`], mirroring [`ScratchGuard`].
-struct Scratch32Guard<'a> {
-    pool: &'a Mutex<Vec<Scratch32>>,
-    sc: Scratch32,
+/// Lane-blocked field gather at positions `[x, y, z]` (`y` unused in
+/// 2-D).
+fn gather<T: Real>(
+    dim: Dim,
+    order: ShapeOrder,
+    [x, y, z]: [&[T]; 3],
+    geom: &Geom,
+    f: &EmViews<'_, T>,
+    out: &mut EmOut<'_, T>,
+) {
+    with_shape!(
+        order,
+        S,
+        match dim {
+            Dim::Three => L::gather3::<S, T>(x, y, z, geom, f, out),
+            Dim::Two => L::gather2::<S, T>(x, z, geom, f, out),
+        }
+    )
 }
 
-impl<'a> Scratch32Guard<'a> {
-    fn checkout(pool: &'a Mutex<Vec<Scratch32>>) -> Self {
-        let sc = pool.lock().unwrap().pop().unwrap_or_default();
-        Self { pool, sc }
-    }
-}
-
-impl Drop for Scratch32Guard<'_> {
-    fn drop(&mut self) {
-        self.pool.lock().unwrap().push(std::mem::take(&mut self.sc));
-    }
-}
-
-/// Single-precision copy of a field view with the owning view's layout.
-fn stage_view<'a>(dst: &'a mut Vec<f32>, src: &FieldView<'_, f64>) -> FieldView<'a, f32> {
-    Scratch32::cast(dst, src.data);
-    FieldView {
-        data: dst,
-        lo: src.lo,
-        nx: src.nx,
-        nxy: src.nxy,
-        half: src.half,
-    }
+/// Lane-blocked Esirkepov deposition of particles moving from
+/// `[x0, y0, z0]` to `[x1, y1, z1]` (`vy` is used in 2-D only).
+#[allow(clippy::too_many_arguments)]
+fn deposit<T: Real>(
+    dim: Dim,
+    order: ShapeOrder,
+    [x0, y0, z0]: [&[T]; 3],
+    [x1, y1, z1]: [&[T]; 3],
+    vy: &[T],
+    w: &[T],
+    q: T,
+    dt: T,
+    geom: &Geom,
+    j: &mut JViews<'_, T>,
+) {
+    with_shape!(
+        order,
+        S,
+        match dim {
+            Dim::Three => L::esirkepov3::<S, T>(x0, y0, z0, x1, y1, z1, w, q, dt, geom, j),
+            Dim::Two => L::esirkepov2::<S, T>(x0, z0, x1, z1, vy, w, q, dt, geom, j),
+        }
+    )
 }
 
 /// Per-box fine-patch deposition buffer. Boxes deposit into their own
@@ -359,8 +484,6 @@ pub struct SimulationBuilder {
     sort_interval: u64,
     seed: u64,
     filter_passes: usize,
-    use_optimized_kernels: bool,
-    lane_width: usize,
     precision: Precision,
 }
 
@@ -383,8 +506,6 @@ impl SimulationBuilder {
             sort_interval: 50,
             seed: 20220101,
             filter_passes: 0,
-            use_optimized_kernels: true,
-            lane_width: DEFAULT_LANE_WIDTH,
             precision: Precision::default(),
         }
     }
@@ -466,24 +587,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Use the restructured (paper sec. V-A.1) gather/deposition kernels.
-    /// On by default; pass `false` to fall back to the per-particle
-    /// reference kernels.
-    pub fn optimized_kernels(mut self, on: bool) -> Self {
-        self.use_optimized_kernels = on;
-        self
-    }
-
-    /// Lane width `W` of the blocked kernels (particles per SIMD tile).
-    pub fn lane_width(mut self, w: usize) -> Self {
-        assert!(
-            LANE_WIDTHS.contains(&w),
-            "lane width must be one of {LANE_WIDTHS:?}"
-        );
-        self.lane_width = w;
-        self
-    }
-
     /// Particle-kernel precision mode (see [`Precision`]).
     pub fn precision(mut self, p: Precision) -> Self {
         self.precision = p;
@@ -548,11 +651,8 @@ impl SimulationBuilder {
             sort_interval: self.sort_interval,
             seed: self.seed,
             filter_passes: self.filter_passes,
-            use_optimized_kernels: self.use_optimized_kernels,
-            lane_width: self.lane_width,
             precision: self.precision,
-            scratch_pool: Mutex::new(Vec::new()),
-            scratch32_pool: Mutex::new(Vec::new()),
+            scratch: ScratchPools::default(),
             box_seconds: Vec::new(),
             box_phase: Vec::new(),
             fine_j_pool: Vec::new(),
@@ -586,16 +686,10 @@ pub struct Simulation {
     pub seed: u64,
     /// Binomial current-filter passes per step.
     pub filter_passes: usize,
-    /// Use the restructured gather/deposition kernels.
-    pub use_optimized_kernels: bool,
-    /// Lane width of the blocked kernels (one of [`LANE_WIDTHS`]).
-    pub lane_width: usize,
     /// Particle-kernel precision mode.
     pub precision: Precision,
-    /// Pool of per-thread particle workspaces.
-    scratch_pool: Mutex<Vec<Scratch>>,
-    /// Pool of per-thread `f32` staging workspaces (mixed precision).
-    scratch32_pool: Mutex<Vec<Scratch32>>,
+    /// Per-thread particle workspaces.
+    scratch: ScratchPools,
     /// Per-box particle-phase seconds of the current step (reused).
     box_seconds: Vec<f64>,
     /// Per-box [gather, push, deposit] seconds of the current step.
@@ -822,7 +916,10 @@ impl Simulation {
         let nspecies = self.species.len();
         let sp = mrpic_trace::span!("particle");
         for si in 0..nspecies {
-            stats.pushed += self.advance_species(si, dt);
+            stats.pushed += match self.precision {
+                Precision::F64 => self.advance_species::<f64>(si, dt),
+                Precision::F32Particles => self.advance_species::<f32>(si, dt),
+            };
         }
         drop(sp);
         for ph in &self.box_phase {
@@ -1188,25 +1285,24 @@ impl Simulation {
         max_resid
     }
 
-    /// Gather/push/deposit for one species, box-parallel: every (box,
-    /// particle-buffer) pair is an independent work item with disjoint
-    /// `&mut` views of the parent currents. Fine-patch deposition goes to
-    /// per-box buffers reduced in ascending box order afterwards, and the
-    /// per-box cost timers live on the work items, so the physics *and*
-    /// the accounting are bitwise independent of the thread count.
-    fn advance_species(&mut self, si: usize, dt: f64) -> usize {
-        if self.precision == Precision::F32Particles {
-            return self.advance_species_f32(si, dt);
-        }
+    /// Gather/push/deposit for one species, box-parallel, with the
+    /// particle kernels running in precision `T` (`f64`, or `f32` for
+    /// [`Precision::F32Particles`]); [`KernelReal`] holds the only
+    /// per-precision code. Every (box, particle-buffer) pair is an
+    /// independent work item with disjoint `&mut` views of the parent
+    /// currents. Fine-patch deposition goes to per-box buffers reduced
+    /// in ascending box order afterwards, and the per-box cost timers
+    /// live on the work items, so the physics *and* the accounting are
+    /// bitwise independent of the thread count.
+    fn advance_species<T: KernelReal>(&mut self, si: usize, dt: f64) -> usize {
         let dim = self.dim;
         let order = self.order;
         let sp_charge = self.species[si].charge;
         let sp_mass = self.species[si].mass;
         let pusher = self.species[si].pusher;
-        let qmdt2 = sp_charge * dt / (2.0 * sp_mass);
+        let qmdt2 = T::from_f64(sp_charge * dt / (2.0 * sp_mass));
+        let (q, kdt) = (T::from_f64(sp_charge), T::from_f64(dt));
         let geom = self.fs.geom.kernel_geom();
-        let optimized = self.use_optimized_kernels;
-        let lane_width = self.lane_width;
         // MR routing regions in physical coordinates.
         let mr_regions = self
             .mr
@@ -1252,16 +1348,24 @@ impl Simulation {
                 });
             }
         }
-        let pool = &self.scratch_pool;
+        let pool = T::pool(&self.scratch);
         tasks.par_iter_mut().for_each_init(
             || ScratchGuard::checkout(pool),
             |guard, task| {
                 let _box_span = mrpic_trace::span!("box", -1, task.bi);
                 let gather_span = mrpic_trace::span!("gather", -1, task.bi);
                 let t0 = std::time::Instant::now();
-                let sc = &mut guard.sc;
+                let Scratch {
+                    em,
+                    x0,
+                    vy,
+                    x1,
+                    u,
+                    w,
+                    fld,
+                    j: tiles,
+                } = &mut guard.sc;
                 let n = task.buf.len();
-                sc.ensure(n);
                 // Partition for MR routing: [aux-gather | transition | outside].
                 let (c_aux, c_fine) = match &mr_regions {
                     Some(((plo, phi), (glo, ghi))) => {
@@ -1285,39 +1389,26 @@ impl Simulation {
                     None => (0, 0),
                 };
                 let buf = &mut *task.buf;
+                for v in em.iter_mut() {
+                    v.resize(n.max(v.len()), T::ZERO);
+                }
+                vy.resize(n.max(vy.len()), T::ZERO);
                 // Gather: [0..c_aux) from the MR aux grid, rest from parent.
+                let [x0, y0, z0] = x0;
+                let pos = [
+                    T::operand(&buf.x, x0),
+                    T::operand(&buf.y, y0),
+                    T::operand(&buf.z, z0),
+                ];
                 if c_aux > 0 {
-                    let mut out_aux = EmOut {
-                        ex: &mut sc.ex[..c_aux],
-                        ey: &mut sc.ey[..c_aux],
-                        ez: &mut sc.ez[..c_aux],
-                        bx: &mut sc.bx[..c_aux],
-                        by: &mut sc.by[..c_aux],
-                        bz: &mut sc.bz[..c_aux],
-                    };
                     let mr = mr.expect("partitioned => MR present");
-                    let views = mr.aux.em_views(0);
-                    let aux_geom = mr.aux.geom.kernel_geom();
-                    with_shape!(
+                    gather(
+                        dim,
                         order,
-                        S,
-                        match dim {
-                            Dim::Three => gather3::<S, f64>(
-                                &buf.x[..c_aux],
-                                &buf.y[..c_aux],
-                                &buf.z[..c_aux],
-                                &aux_geom,
-                                &views,
-                                &mut out_aux,
-                            ),
-                            Dim::Two => gather2::<S, f64>(
-                                &buf.x[..c_aux],
-                                &buf.z[..c_aux],
-                                &aux_geom,
-                                &views,
-                                &mut out_aux,
-                            ),
-                        }
+                        pos.map(|p| &p[..c_aux]),
+                        &mr.aux.geom.kernel_geom(),
+                        &T::fields(mr.aux.em_views(0), fld),
+                        &mut em_out(em, 0, c_aux),
                     );
                 }
                 if c_aux < n {
@@ -1330,89 +1421,52 @@ impl Simulation {
                         by: fab_view(&b[1], bi),
                         bz: fab_view(&b[2], bi),
                     };
-                    let mut out = EmOut {
-                        ex: &mut sc.ex[c_aux..n],
-                        ey: &mut sc.ey[c_aux..n],
-                        ez: &mut sc.ez[c_aux..n],
-                        bx: &mut sc.bx[c_aux..n],
-                        by: &mut sc.by[c_aux..n],
-                        bz: &mut sc.bz[c_aux..n],
-                    };
-                    with_shape!(
+                    gather(
+                        dim,
                         order,
-                        S,
-                        match dim {
-                            Dim::Three if optimized => with_lanes!(
-                                lane_width,
-                                W,
-                                Lanes::<W>::gather3::<S, f64>(
-                                    &buf.x[c_aux..n],
-                                    &buf.y[c_aux..n],
-                                    &buf.z[c_aux..n],
-                                    &geom,
-                                    &views,
-                                    &mut out,
-                                )
-                            ),
-                            Dim::Three => gather3::<S, f64>(
-                                &buf.x[c_aux..n],
-                                &buf.y[c_aux..n],
-                                &buf.z[c_aux..n],
-                                &geom,
-                                &views,
-                                &mut out,
-                            ),
-                            Dim::Two if optimized => with_lanes!(
-                                lane_width,
-                                W,
-                                Lanes::<W>::gather2::<S, f64>(
-                                    &buf.x[c_aux..n],
-                                    &buf.z[c_aux..n],
-                                    &geom,
-                                    &views,
-                                    &mut out,
-                                )
-                            ),
-                            Dim::Two => gather2::<S, f64>(
-                                &buf.x[c_aux..n],
-                                &buf.z[c_aux..n],
-                                &geom,
-                                &views,
-                                &mut out,
-                            ),
-                        }
+                        pos.map(|p| &p[c_aux..n]),
+                        &geom,
+                        &T::fields(views, fld),
+                        &mut em_out(em, c_aux, n),
                     );
                 }
                 drop(gather_span);
                 let push_span = mrpic_trace::span!("push", -1, task.bi);
                 let t_push = std::time::Instant::now();
                 task.phase[0] += t_push.duration_since(t0).as_secs_f64();
-                // Momentum push (the lane tiling is bitwise identical to
-                // the scalar pusher, so no `optimized` split is needed).
-                with_lanes!(
-                    lane_width,
-                    W,
-                    Lanes::<W>::push_momentum(
+                // Momentum push, then vy at the half step from the same
+                // kernel-precision momenta.
+                let [ux_s, uy_s, uz_s] = u;
+                {
+                    let ux = T::operand_mut(&mut buf.ux, ux_s);
+                    let uy = T::operand_mut(&mut buf.uy, uy_s);
+                    let uz = T::operand_mut(&mut buf.uz, uz_s);
+                    let [ex, ey, ez, bx, by, bz] = &*em;
+                    L::push_momentum(
                         pusher,
-                        &mut buf.ux[..n],
-                        &mut buf.uy[..n],
-                        &mut buf.uz[..n],
-                        &sc.ex[..n],
-                        &sc.ey[..n],
-                        &sc.ez[..n],
-                        &sc.bx[..n],
-                        &sc.by[..n],
-                        &sc.bz[..n],
+                        ux,
+                        uy,
+                        uz,
+                        &ex[..n],
+                        &ey[..n],
+                        &ez[..n],
+                        &bx[..n],
+                        &by[..n],
+                        &bz[..n],
                         qmdt2,
-                    )
-                );
-                // Save old positions, compute vy at the half step, push x.
-                sc.x0[..n].copy_from_slice(&buf.x[..n]);
-                sc.y0[..n].copy_from_slice(&buf.y[..n]);
-                sc.z0[..n].copy_from_slice(&buf.z[..n]);
-                for p in 0..n {
-                    sc.vy[p] = buf.uy[p] / gamma_of_u(buf.ux[p], buf.uy[p], buf.uz[p]);
+                    );
+                    for p in 0..n {
+                        vy[p] = uy[p] / gamma_of_u(ux[p], uy[p], uz[p]);
+                    }
                 }
+                T::write_back(&mut buf.ux, ux_s);
+                T::write_back(&mut buf.uy, uy_s);
+                T::write_back(&mut buf.uz, uz_s);
+                // Keep the old positions for the deposit, then push them
+                // (always in f64).
+                T::save_old(&buf.x, x0);
+                T::save_old(&buf.y, y0);
+                T::save_old(&buf.z, z0);
                 match dim {
                     Dim::Three => push_position(
                         &mut buf.x[..n],
@@ -1432,10 +1486,32 @@ impl Simulation {
                         dt,
                     ),
                 }
+                let [x1_s, y1_s, z1_s] = x1;
+                let (x1, y1, z1) = (
+                    T::operand(&buf.x, x1_s),
+                    T::operand(&buf.y, y1_s),
+                    T::operand(&buf.z, z1_s),
+                );
+                let w = T::operand(&buf.w, w);
                 drop(push_span);
                 let deposit_span = mrpic_trace::span!("deposit", -1, task.bi);
                 let t_dep = std::time::Instant::now();
                 task.phase[1] += t_dep.duration_since(t_push).as_secs_f64();
+                let deposit_range =
+                    |r: std::ops::Range<usize>, kg: &Geom, jv: &mut JViews<'_, T>| {
+                        deposit(
+                            dim,
+                            order,
+                            [&x0[r.clone()], &y0[r.clone()], &z0[r.clone()]],
+                            [&x1[r.clone()], &y1[r.clone()], &z1[r.clone()]],
+                            &vy[r.clone()],
+                            &w[r],
+                            q,
+                            kdt,
+                            kg,
+                            jv,
+                        )
+                    };
                 // Deposit: [0..c_fine) to the per-box fine buffer (reduced
                 // in box order after the loop), rest to this box's J fabs.
                 if c_fine > 0 {
@@ -1453,25 +1529,25 @@ impl Simulation {
                         task.fine_j.j[c].fill(0.0);
                     }
                     let [fjx, fjy, fjz] = &mut task.fine_j.j;
-                    let mut jv = JViews {
-                        jx: view_over(fine_fabs[0], fjx),
-                        jy: view_over(fine_fabs[1], fjy),
-                        jz: view_over(fine_fabs[2], fjz),
-                    };
-                    Self::deposit_slice(
-                        dim, order, optimized, lane_width, buf, sc, 0, c_fine, sp_charge, dt,
-                        &fine_geom, &mut jv,
+                    T::deposit_into(
+                        [
+                            view_over(fine_fabs[0], fjx),
+                            view_over(fine_fabs[1], fjy),
+                            view_over(fine_fabs[2], fjz),
+                        ],
+                        tiles,
+                        |jv| deposit_range(0..c_fine, &fine_geom, jv),
                     );
                 }
                 if c_fine < n {
-                    let mut jv = JViews {
-                        jx: view_of_fab_mut(task.jx),
-                        jy: view_of_fab_mut(task.jy),
-                        jz: view_of_fab_mut(task.jz),
-                    };
-                    Self::deposit_slice(
-                        dim, order, optimized, lane_width, buf, sc, c_fine, n, sp_charge, dt,
-                        &geom, &mut jv,
+                    T::deposit_into(
+                        [
+                            view_of_fab_mut(task.jx),
+                            view_of_fab_mut(task.jy),
+                            view_of_fab_mut(task.jz),
+                        ],
+                        tiles,
+                        |jv| deposit_range(c_fine..n, &geom, jv),
                     );
                 }
                 drop(deposit_span);
@@ -1501,373 +1577,6 @@ impl Simulation {
             }
         }
         pushed
-    }
-
-    /// Mixed-precision (`f32_particles`) variant of `advance_species`.
-    ///
-    /// Per box: the six guarded field windows and the particle
-    /// attributes are cast to `f32` once, gather / momentum push /
-    /// Esirkepov deposition run in single precision through the same
-    /// lane-blocked kernels, and the deposited currents are accumulated
-    /// back into the `f64` fabs. Positions are pushed in `f64` (only
-    /// cast for the kernels), so long moving-window runs keep full cell
-    /// resolution. Mesh refinement is rejected at build/config time.
-    fn advance_species_f32(&mut self, si: usize, dt: f64) -> usize {
-        debug_assert!(self.mr.is_none(), "MR is rejected in f32 mode");
-        let dim = self.dim;
-        let order = self.order;
-        let sp_charge = self.species[si].charge;
-        let sp_mass = self.species[si].mass;
-        let pusher = self.species[si].pusher;
-        let qmdt2 = (sp_charge * dt / (2.0 * sp_mass)) as f32;
-        let geom = self.fs.geom.kernel_geom();
-        let optimized = self.use_optimized_kernels;
-        let lane_width = self.lane_width;
-        let nboxes = self.fs.nfabs();
-        self.fine_j_pool.resize_with(nboxes, FineJBuf::default);
-        let FieldSet { e, b, j, .. } = &mut self.fs;
-        let (e, b) = (&*e, &*b);
-        let [jx_arr, jy_arr, jz_arr] = j;
-        let mut pushed = 0usize;
-        let mut tasks: Vec<BoxTask<'_>> = Vec::with_capacity(nboxes);
-        {
-            let mut jxs = jx_arr.fabs_mut().iter_mut();
-            let mut jys = jy_arr.fabs_mut().iter_mut();
-            let mut jzs = jz_arr.fabs_mut().iter_mut();
-            let mut fine = self.fine_j_pool.iter_mut();
-            let mut secs = self.box_seconds.iter_mut();
-            let mut phs = self.box_phase.iter_mut();
-            for (bi, buf) in self.parts[si].bufs.iter_mut().enumerate() {
-                let jx = jxs.next().expect("J layout matches particle boxes");
-                let jy = jys.next().expect("J layout matches particle boxes");
-                let jz = jzs.next().expect("J layout matches particle boxes");
-                let fine_j = fine.next().expect("pool sized to nboxes");
-                let seconds = secs.next().expect("box_seconds sized to nboxes");
-                let phase = phs.next().expect("box_phase sized to nboxes");
-                if buf.is_empty() {
-                    continue;
-                }
-                pushed += buf.len();
-                tasks.push(BoxTask {
-                    bi,
-                    buf,
-                    jx,
-                    jy,
-                    jz,
-                    fine_j,
-                    seconds,
-                    phase,
-                });
-            }
-        }
-        let pool = &self.scratch32_pool;
-        tasks.par_iter_mut().for_each_init(
-            || Scratch32Guard::checkout(pool),
-            |guard, task| {
-                let _box_span = mrpic_trace::span!("box", -1, task.bi);
-                let gather_span = mrpic_trace::span!("gather", -1, task.bi);
-                let t0 = std::time::Instant::now();
-                let Scratch32 {
-                    fld,
-                    em,
-                    x0,
-                    y0,
-                    z0,
-                    x1,
-                    y1,
-                    z1,
-                    ux,
-                    uy,
-                    uz,
-                    w,
-                    vy,
-                    j,
-                } = &mut guard.sc;
-                let buf = &mut *task.buf;
-                let n = buf.len();
-                // Stage particle attributes and the box's field windows.
-                Scratch32::cast(x0, &buf.x[..n]);
-                Scratch32::cast(y0, &buf.y[..n]);
-                Scratch32::cast(z0, &buf.z[..n]);
-                Scratch32::cast(ux, &buf.ux[..n]);
-                Scratch32::cast(uy, &buf.uy[..n]);
-                Scratch32::cast(uz, &buf.uz[..n]);
-                Scratch32::cast(w, &buf.w[..n]);
-                for v in em.iter_mut() {
-                    v.resize(n.max(v.len()), 0.0);
-                }
-                vy.resize(n.max(vy.len()), 0.0);
-                let bi = task.bi;
-                let [f0, f1, f2, f3, f4, f5] = fld;
-                let views = EmViews {
-                    ex: stage_view(f0, &fab_view(&e[0], bi)),
-                    ey: stage_view(f1, &fab_view(&e[1], bi)),
-                    ez: stage_view(f2, &fab_view(&e[2], bi)),
-                    bx: stage_view(f3, &fab_view(&b[0], bi)),
-                    by: stage_view(f4, &fab_view(&b[1], bi)),
-                    bz: stage_view(f5, &fab_view(&b[2], bi)),
-                };
-                let [g0, g1, g2, g3, g4, g5] = em;
-                let mut out = EmOut {
-                    ex: &mut g0[..n],
-                    ey: &mut g1[..n],
-                    ez: &mut g2[..n],
-                    bx: &mut g3[..n],
-                    by: &mut g4[..n],
-                    bz: &mut g5[..n],
-                };
-                with_shape!(
-                    order,
-                    S,
-                    match dim {
-                        Dim::Three if optimized => with_lanes!(
-                            lane_width,
-                            W,
-                            Lanes::<W>::gather3::<S, f32>(x0, y0, z0, &geom, &views, &mut out)
-                        ),
-                        Dim::Three => gather3::<S, f32>(x0, y0, z0, &geom, &views, &mut out),
-                        Dim::Two if optimized => with_lanes!(
-                            lane_width,
-                            W,
-                            Lanes::<W>::gather2::<S, f32>(x0, z0, &geom, &views, &mut out)
-                        ),
-                        Dim::Two => gather2::<S, f32>(x0, z0, &geom, &views, &mut out),
-                    }
-                );
-                drop(gather_span);
-                let push_span = mrpic_trace::span!("push", -1, task.bi);
-                let t_push = std::time::Instant::now();
-                task.phase[0] += t_push.duration_since(t0).as_secs_f64();
-                with_lanes!(
-                    lane_width,
-                    W,
-                    Lanes::<W>::push_momentum(
-                        pusher,
-                        &mut ux[..n],
-                        &mut uy[..n],
-                        &mut uz[..n],
-                        &g0[..n],
-                        &g1[..n],
-                        &g2[..n],
-                        &g3[..n],
-                        &g4[..n],
-                        &g5[..n],
-                        qmdt2,
-                    )
-                );
-                // Momenta are owned by the f32 path; positions stay f64.
-                for p in 0..n {
-                    buf.ux[p] = ux[p] as f64;
-                    buf.uy[p] = uy[p] as f64;
-                    buf.uz[p] = uz[p] as f64;
-                    vy[p] = uy[p] / gamma_of_u(ux[p], uy[p], uz[p]);
-                }
-                match dim {
-                    Dim::Three => push_position(
-                        &mut buf.x[..n],
-                        &mut buf.y[..n],
-                        &mut buf.z[..n],
-                        &buf.ux[..n],
-                        &buf.uy[..n],
-                        &buf.uz[..n],
-                        dt,
-                    ),
-                    Dim::Two => push_position2(
-                        &mut buf.x[..n],
-                        &mut buf.z[..n],
-                        &buf.ux[..n],
-                        &buf.uy[..n],
-                        &buf.uz[..n],
-                        dt,
-                    ),
-                }
-                Scratch32::cast(x1, &buf.x[..n]);
-                Scratch32::cast(y1, &buf.y[..n]);
-                Scratch32::cast(z1, &buf.z[..n]);
-                drop(push_span);
-                let deposit_span = mrpic_trace::span!("deposit", -1, task.bi);
-                let t_dep = std::time::Instant::now();
-                task.phase[1] += t_dep.duration_since(t_push).as_secs_f64();
-                // Deposit into f32 tiles with the fabs' layout, then
-                // accumulate into the f64 currents.
-                let jx64 = view_of_fab_mut(task.jx);
-                let jy64 = view_of_fab_mut(task.jy);
-                let jz64 = view_of_fab_mut(task.jz);
-                let [tjx, tjy, tjz] = j;
-                for (tile, len) in [
-                    (&mut *tjx, jx64.data.len()),
-                    (&mut *tjy, jy64.data.len()),
-                    (&mut *tjz, jz64.data.len()),
-                ] {
-                    tile.resize(len, 0.0);
-                    tile.fill(0.0);
-                }
-                {
-                    let mut jv = JViews {
-                        jx: FieldViewMut {
-                            data: &mut tjx[..],
-                            lo: jx64.lo,
-                            nx: jx64.nx,
-                            nxy: jx64.nxy,
-                            half: jx64.half,
-                        },
-                        jy: FieldViewMut {
-                            data: &mut tjy[..],
-                            lo: jy64.lo,
-                            nx: jy64.nx,
-                            nxy: jy64.nxy,
-                            half: jy64.half,
-                        },
-                        jz: FieldViewMut {
-                            data: &mut tjz[..],
-                            lo: jz64.lo,
-                            nx: jz64.nx,
-                            nxy: jz64.nxy,
-                            half: jz64.half,
-                        },
-                    };
-                    let (qf, dtf) = (sp_charge as f32, dt as f32);
-                    with_shape!(
-                        order,
-                        S,
-                        match dim {
-                            Dim::Three if optimized => with_lanes!(
-                                lane_width,
-                                W,
-                                Lanes::<W>::esirkepov3::<S, f32>(
-                                    x0, y0, z0, x1, y1, z1, w, qf, dtf, &geom, &mut jv,
-                                )
-                            ),
-                            Dim::Three => esirkepov3::<S, f32>(
-                                x0, y0, z0, x1, y1, z1, w, qf, dtf, &geom, &mut jv,
-                            ),
-                            Dim::Two if optimized => with_lanes!(
-                                lane_width,
-                                W,
-                                Lanes::<W>::esirkepov2::<S, f32>(
-                                    x0,
-                                    z0,
-                                    x1,
-                                    z1,
-                                    &vy[..n],
-                                    w,
-                                    qf,
-                                    dtf,
-                                    &geom,
-                                    &mut jv,
-                                )
-                            ),
-                            Dim::Two => esirkepov2::<S, f32>(
-                                x0,
-                                z0,
-                                x1,
-                                z1,
-                                &vy[..n],
-                                w,
-                                qf,
-                                dtf,
-                                &geom,
-                                &mut jv,
-                            ),
-                        }
-                    );
-                }
-                for (dst, tile) in [(jx64, &*tjx), (jy64, &*tjy), (jz64, &*tjz)] {
-                    for (d, s) in dst.data.iter_mut().zip(tile.iter()) {
-                        *d += *s as f64;
-                    }
-                }
-                drop(deposit_span);
-                task.phase[2] += t_dep.elapsed().as_secs_f64();
-                let box_ns = t0.elapsed().as_nanos() as u64;
-                *task.seconds += box_ns as f64 * 1e-9;
-                if mrpic_trace::enabled() {
-                    box_kernel_hist().record(box_ns);
-                }
-            },
-        );
-        pushed
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn deposit_slice(
-        dim: Dim,
-        order: ShapeOrder,
-        optimized: bool,
-        lane_width: usize,
-        buf: &crate::particles::ParticleBuf,
-        sc: &Scratch,
-        lo: usize,
-        hi: usize,
-        charge: f64,
-        dt: f64,
-        geom: &mrpic_kernels::view::Geom,
-        jv: &mut JViews<'_, f64>,
-    ) {
-        with_shape!(
-            order,
-            S,
-            match dim {
-                Dim::Three if optimized => with_lanes!(
-                    lane_width,
-                    W,
-                    Lanes::<W>::esirkepov3::<S, f64>(
-                        &sc.x0[lo..hi],
-                        &sc.y0[lo..hi],
-                        &sc.z0[lo..hi],
-                        &buf.x[lo..hi],
-                        &buf.y[lo..hi],
-                        &buf.z[lo..hi],
-                        &buf.w[lo..hi],
-                        charge,
-                        dt,
-                        geom,
-                        jv,
-                    )
-                ),
-                Dim::Three => esirkepov3::<S, f64>(
-                    &sc.x0[lo..hi],
-                    &sc.y0[lo..hi],
-                    &sc.z0[lo..hi],
-                    &buf.x[lo..hi],
-                    &buf.y[lo..hi],
-                    &buf.z[lo..hi],
-                    &buf.w[lo..hi],
-                    charge,
-                    dt,
-                    geom,
-                    jv,
-                ),
-                Dim::Two if optimized => with_lanes!(
-                    lane_width,
-                    W,
-                    Lanes::<W>::esirkepov2::<S, f64>(
-                        &sc.x0[lo..hi],
-                        &sc.z0[lo..hi],
-                        &buf.x[lo..hi],
-                        &buf.z[lo..hi],
-                        &sc.vy[lo..hi],
-                        &buf.w[lo..hi],
-                        charge,
-                        dt,
-                        geom,
-                        jv,
-                    )
-                ),
-                Dim::Two => esirkepov2::<S, f64>(
-                    &sc.x0[lo..hi],
-                    &sc.z0[lo..hi],
-                    &buf.x[lo..hi],
-                    &buf.z[lo..hi],
-                    &sc.vy[lo..hi],
-                    &buf.w[lo..hi],
-                    charge,
-                    dt,
-                    geom,
-                    jv,
-                ),
-            }
-        );
     }
 
     /// Full leapfrog field advance with PML interface exchanges. Guard
@@ -2246,47 +1955,5 @@ mod tests {
         assert!(st.particle_seconds > 0.0);
         assert!(st.field_seconds > 0.0);
         assert_eq!(sim.istep, 1);
-    }
-}
-
-#[cfg(test)]
-mod optimized_kernel_tests {
-    use super::*;
-    use crate::profile::Profile;
-    use crate::species::Species;
-
-    /// The optimized kernel path must produce (near-)identical physics.
-    #[test]
-    fn optimized_kernels_match_baseline_run() {
-        let build = |optimized: bool| {
-            SimulationBuilder::new(Dim::Two)
-                .domain(IntVect::new(24, 1, 16), [0.5e-6; 3], [0.0; 3])
-                .periodic([true, true, true])
-                .order(ShapeOrder::Quadratic)
-                .cfl(0.5)
-                .seed(3)
-                .optimized_kernels(optimized)
-                .add_species(
-                    Species::electrons("e", Profile::Uniform { n0: 1.0e25 }, [2, 1, 2])
-                        .with_drift([2.0e6, 0.0, 1.0e6]),
-                )
-                .build()
-        };
-        let mut a = build(false);
-        let mut b = build(true);
-        for _ in 0..40 {
-            a.step();
-            b.step();
-        }
-        let probe = IntVect::new(12, 0, 8);
-        let (va, vb) = (
-            a.fs.e[0].at(0, probe).unwrap(),
-            b.fs.e[0].at(0, probe).unwrap(),
-        );
-        let scale = a.fs.e[0].max_abs(0).max(1e-30);
-        assert!(
-            (va - vb).abs() < 1e-9 * scale,
-            "optimized run diverged: {va:e} vs {vb:e}"
-        );
     }
 }

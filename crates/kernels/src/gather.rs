@@ -1,20 +1,13 @@
 //! Field gathering: interpolate staggered E and B onto particles.
 //!
-//! The *baseline* kernels loop particle-by-particle. The *blocked*
-//! kernels implement the paper's A64FX optimization (§V-A.1): weights are
-//! computed for groups of `NGRP` particles into transposed SoA
-//! temporaries that stay in cache, and the innermost loops then run over
-//! the particles of the group with the stencil offset fixed — "vectorizing
-//! over p with ijk fixed" — instead of over the tiny stencil extents.
+//! These scalar kernels loop particle-by-particle with checked indexing.
+//! They are the reference the lane-blocked kernels in [`crate::lanes`]
+//! reproduce bitwise, and the fallback those kernels run on edge blocks
+//! and the sub-block tail.
 
 use crate::real::Real;
 use crate::shape::Shape;
 use crate::view::{FieldView, Geom};
-
-/// Particle-group size for the blocked kernels. Must be large enough to
-/// fill vector lanes yet keep the transposed temporaries cache-resident
-/// (the paper suggests powers of two: 32, 64 or 128).
-pub const NGRP: usize = 32;
 
 /// Interpolate one staggered component at one particle (baseline path).
 #[inline(always)]
@@ -113,157 +106,6 @@ pub fn gather2<S: Shape, T: Real>(
         out.by[p] = interp_one_2d::<S, T>(&f.by, xi, zi);
         out.bz[p] = interp_one_2d::<S, T>(&f.bz, xi, zi);
     }
-}
-
-/// Per-particle interpolation weights, both stagger variants per axis,
-/// computed once and shared by all six components (the baseline
-/// recomputes them per component: 18 shape evaluations vs 6).
-struct DualWeights<T> {
-    /// `w[axis][variant][k]`, variant 0 = nodal, 1 = half.
-    w: [[[T; 4]; 2]; 3],
-    i0: [[i64; 2]; 3],
-}
-
-impl<T: Real> DualWeights<T> {
-    #[inline(always)]
-    fn compute<S: Shape>(xi: [T; 3]) -> Self {
-        let mut w = [[[T::ZERO; 4]; 2]; 3];
-        let mut i0 = [[0i64; 2]; 3];
-        for d in 0..3 {
-            let (i_n, w_n) = S::eval(xi[d]);
-            let (i_h, w_h) = S::eval(xi[d] - T::HALF);
-            i0[d] = [i_n, i_h];
-            w[d] = [w_n, w_h];
-        }
-        Self { w, i0 }
-    }
-}
-
-/// Interpolate one component for one particle from precomputed weights,
-/// with a contiguous (x-fastest) inner loop and unchecked loads.
-///
-/// # Safety contract
-/// The caller guarantees the interpolation window lies inside the view's
-/// storage (the driver's guard-cell sizing, `ngrow = order + 2`).
-#[inline(always)]
-fn interp_fast<S: Shape, T: Real>(f: &FieldView<'_, T>, dw: &DualWeights<T>) -> T {
-    let hx = f.half[0] as usize;
-    let hy = f.half[1] as usize;
-    let hz = f.half[2] as usize;
-    let wx = &dw.w[0][hx];
-    let wy = &dw.w[1][hy];
-    let wz = &dw.w[2][hz];
-    let base = f.idx(dw.i0[0][hx], dw.i0[1][hy], dw.i0[2][hz]);
-    debug_assert!(
-        base + ((S::SUPPORT - 1) as i64 * (f.nxy + f.nx)) as usize + S::SUPPORT <= f.data.len()
-    );
-    let mut acc = T::ZERO;
-    for c in 0..S::SUPPORT {
-        for b in 0..S::SUPPORT {
-            let part = wz[c] * wy[b];
-            let row = base + (c as i64 * f.nxy + b as i64 * f.nx) as usize;
-            // Contiguous unit-stride row: vectorizes without gathers.
-            let mut racc = T::ZERO;
-            for a in 0..S::SUPPORT {
-                // SAFETY: window containment guaranteed by the caller
-                // (guard reach), asserted above in debug builds.
-                let v = unsafe { *f.data.get_unchecked(row + a) };
-                racc = wx[a].mul_add(v, racc);
-            }
-            acc = part.mul_add(racc, acc);
-        }
-    }
-    acc
-}
-
-/// Optimized 3-D gather (the §V-A.1 restructuring, retargeted at this
-/// host ISA): interpolation weights are computed once per particle into
-/// registers and shared across all six components, and the innermost
-/// loops run over contiguous rows with fused multiply-adds — removing
-/// the redundant per-component shape evaluations and the bounds checks
-/// that dominate the baseline. Processes particles in groups of
-/// [`NGRP`] to keep outputs streaming.
-pub fn gather3_blocked<S: Shape, T: Real>(
-    x: &[T],
-    y: &[T],
-    z: &[T],
-    geom: &Geom,
-    f: &EmViews<'_, T>,
-    out: &mut EmOut<'_, T>,
-) {
-    let n = x.len();
-    assert!(y.len() == n && z.len() == n && out.ex.len() >= n);
-    let mut start = 0usize;
-    while start < n {
-        let g = NGRP.min(n - start);
-        for p in start..start + g {
-            let xi = [geom.xi(0, x[p]), geom.xi(1, y[p]), geom.xi(2, z[p])];
-            let dw = DualWeights::compute::<S>(xi);
-            out.ex[p] = interp_fast::<S, T>(&f.ex, &dw);
-            out.ey[p] = interp_fast::<S, T>(&f.ey, &dw);
-            out.ez[p] = interp_fast::<S, T>(&f.ez, &dw);
-            out.bx[p] = interp_fast::<S, T>(&f.bx, &dw);
-            out.by[p] = interp_fast::<S, T>(&f.by, &dw);
-            out.bz[p] = interp_fast::<S, T>(&f.bz, &dw);
-        }
-        start += g;
-    }
-}
-
-/// Galerkin ("energy-conserving") 3-D gather: along each axis where a
-/// component is staggered, the interpolation order is reduced by one
-/// (evaluated at the half-shifted coordinate) — WarpX's default scheme,
-/// which suppresses the self-force a macroparticle exerts on itself
-/// through the staggered lattice.
-pub fn gather3_galerkin<S: Shape, T: Real>(
-    x: &[T],
-    y: &[T],
-    z: &[T],
-    geom: &Geom,
-    f: &EmViews<'_, T>,
-    out: &mut EmOut<'_, T>,
-) {
-    let n = x.len();
-    assert!(y.len() == n && z.len() == n && out.ex.len() >= n);
-    for p in 0..n {
-        let xi = [geom.xi(0, x[p]), geom.xi(1, y[p]), geom.xi(2, z[p])];
-        out.ex[p] = interp_one_galerkin::<S, T>(&f.ex, xi);
-        out.ey[p] = interp_one_galerkin::<S, T>(&f.ey, xi);
-        out.ez[p] = interp_one_galerkin::<S, T>(&f.ez, xi);
-        out.bx[p] = interp_one_galerkin::<S, T>(&f.bx, xi);
-        out.by[p] = interp_one_galerkin::<S, T>(&f.by, xi);
-        out.bz[p] = interp_one_galerkin::<S, T>(&f.bz, xi);
-    }
-}
-
-/// Per-axis weights at order `S` (nodal axes) or `S::Lower` shifted by
-/// half (staggered axes).
-#[inline(always)]
-fn axis_weights_galerkin<S: Shape, T: Real>(xi: T, half: bool) -> (i64, [T; 4], usize) {
-    if half {
-        let (i0, w) = <S::Lower as Shape>::eval(xi - T::HALF);
-        (i0, w, <S::Lower as Shape>::SUPPORT)
-    } else {
-        let (i0, w) = S::eval(xi);
-        (i0, w, S::SUPPORT)
-    }
-}
-
-#[inline(always)]
-fn interp_one_galerkin<S: Shape, T: Real>(f: &FieldView<'_, T>, xi: [T; 3]) -> T {
-    let (ix, wx, sx) = axis_weights_galerkin::<S, T>(xi[0], f.half[0]);
-    let (iy, wy, sy) = axis_weights_galerkin::<S, T>(xi[1], f.half[1]);
-    let (iz, wz, sz) = axis_weights_galerkin::<S, T>(xi[2], f.half[2]);
-    let mut acc = T::ZERO;
-    for c in 0..sz {
-        for b in 0..sy {
-            let part = wz[c] * wy[b];
-            for a in 0..sx {
-                acc += part * wx[a] * f.get(ix + a as i64, iy + b as i64, iz + c as i64);
-            }
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -379,89 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_baseline_closely() {
-        let lo = [-4i64, -4, -4];
-        let n = [24i64, 20, 22];
-        let mk = |half: [bool; 3], seed: f64| {
-            mk_field(lo, n, half, move |i, j, k| {
-                ((i * 31 + j * 17 + k * 7) as f64 * seed).sin()
-            })
-        };
-        let tex = mk([true, false, false], 0.1);
-        let tey = mk([false, true, false], 0.2);
-        let tez = mk([false, false, true], 0.3);
-        let tbx = mk([false, true, true], 0.4);
-        let tby = mk([true, false, true], 0.5);
-        let tbz = mk([true, true, false], 0.6);
-        let f = EmViews {
-            ex: view(&tex),
-            ey: view(&tey),
-            ez: view(&tez),
-            bx: view(&tbx),
-            by: view(&tby),
-            bz: view(&tbz),
-        };
-        // 100 pseudo-random particles inside the safe interior.
-        let np = 100;
-        let mut xs = vec![0.0; np];
-        let mut ys = vec![0.0; np];
-        let mut zs = vec![0.0; np];
-        let mut state = 12345u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        for p in 0..np {
-            xs[p] = -1.0 + 10.0 * rng();
-            ys[p] = -1.0 + 8.0 * rng();
-            zs[p] = -1.0 + 9.0 * rng();
-        }
-        let run = |blocked: bool| {
-            let mut o = (
-                vec![0.0; np],
-                vec![0.0; np],
-                vec![0.0; np],
-                vec![0.0; np],
-                vec![0.0; np],
-                vec![0.0; np],
-            );
-            {
-                let mut out = EmOut {
-                    ex: &mut o.0,
-                    ey: &mut o.1,
-                    ez: &mut o.2,
-                    bx: &mut o.3,
-                    by: &mut o.4,
-                    bz: &mut o.5,
-                };
-                if blocked {
-                    gather3_blocked::<Cubic, f64>(&xs, &ys, &zs, &geom(), &f, &mut out);
-                } else {
-                    gather3::<Cubic, f64>(&xs, &ys, &zs, &geom(), &f, &mut out);
-                }
-            }
-            o
-        };
-        let a = run(false);
-        let b = run(true);
-        // The optimized kernel reassociates the row sums; results agree
-        // to a few ulps.
-        for p in 0..np {
-            for (x, y) in [(&a.0, &b.0), (&a.3, &b.3), (&a.5, &b.5)] {
-                let scale = x[p].abs().max(1e-30);
-                assert!(
-                    (x[p] - y[p]).abs() <= 1e-12 * scale,
-                    "particle {p}: {} vs {}",
-                    x[p],
-                    y[p]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn gather2_matches_uniform_field() {
         let lo = [-4i64, 0, -4];
         let n = [16i64, 1, 16];
@@ -502,282 +261,6 @@ mod tests {
         for p in 0..2 {
             for got in [o.0[p], o.1[p], o.2[p], o.3[p], o.4[p], o.5[p]] {
                 assert!((got - 7.0).abs() < 1e-12);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod galerkin_tests {
-    use super::*;
-    use crate::shape::{Cubic, Quadratic};
-
-    fn geom() -> Geom {
-        Geom {
-            xmin: [0.0; 3],
-            dx: [1.0; 3],
-        }
-    }
-
-    /// Uniform fields gather exactly at any order (partition of unity of
-    /// both the full and the reduced shapes).
-    #[test]
-    fn galerkin_uniform_field_exact() {
-        let n = [12i64, 12, 12];
-        let data = vec![5.0; (n[0] * n[1] * n[2]) as usize];
-        let mk = |half: [bool; 3]| FieldView {
-            data: data.as_slice(),
-            lo: [-4, -4, -4],
-            nx: n[0],
-            nxy: n[0] * n[1],
-            half,
-        };
-        let f = EmViews {
-            ex: mk([true, false, false]),
-            ey: mk([false, true, false]),
-            ez: mk([false, false, true]),
-            bx: mk([false, true, true]),
-            by: mk([true, false, true]),
-            bz: mk([true, true, false]),
-        };
-        let (xs, ys, zs) = (vec![1.3, 2.8], vec![0.4, 1.9], vec![2.2, 0.7]);
-        let mut o = (
-            vec![0.0; 2],
-            vec![0.0; 2],
-            vec![0.0; 2],
-            vec![0.0; 2],
-            vec![0.0; 2],
-            vec![0.0; 2],
-        );
-        let mut out = EmOut {
-            ex: &mut o.0,
-            ey: &mut o.1,
-            ez: &mut o.2,
-            bx: &mut o.3,
-            by: &mut o.4,
-            bz: &mut o.5,
-        };
-        gather3_galerkin::<Quadratic, f64>(&xs, &ys, &zs, &geom(), &f, &mut out);
-        for p in 0..2 {
-            for got in [o.0[p], o.1[p], o.2[p], o.3[p], o.4[p], o.5[p]] {
-                assert!((got - 5.0).abs() < 1e-12, "{got}");
-            }
-        }
-    }
-
-    /// For orders >= 2 the reduced shape is still >= linear, so linear
-    /// fields are reproduced exactly.
-    #[test]
-    fn galerkin_linear_field_exact_for_high_order() {
-        let lo = [-4i64, -4, -4];
-        let n = [16i64, 16, 16];
-        let half = [true, false, false]; // Ex
-        let mut data = vec![0.0; (n[0] * n[1] * n[2]) as usize];
-        for k in 0..n[2] {
-            for j in 0..n[1] {
-                for i in 0..n[0] {
-                    let x = (lo[0] + i) as f64 + 0.5; // half in x
-                    let y = (lo[1] + j) as f64;
-                    let z = (lo[2] + k) as f64;
-                    data[(k * n[1] * n[0] + j * n[0] + i) as usize] = 2.0 * x - y + 0.25 * z;
-                }
-            }
-        }
-        let v = FieldView {
-            data: data.as_slice(),
-            lo,
-            nx: n[0],
-            nxy: n[0] * n[1],
-            half,
-        };
-        for &(xp, yp, zp) in &[(1.37, 0.5, 2.1), (3.0, 2.25, 0.8)] {
-            let xi = [xp, yp, zp];
-            let got = super::interp_one_galerkin::<Cubic, f64>(&v, xi);
-            let want = 2.0 * xp - yp + 0.25 * zp;
-            assert!((got - want).abs() < 1e-10, "got {got}, want {want}");
-        }
-    }
-
-    /// The defining Galerkin property: a static particle's own deposited
-    /// field exerts (almost) no self-force through the staggering. We
-    /// check the weaker invariant accessible at kernel level: the reduced
-    /// order along the staggered axis matches order-(n-1) interpolation.
-    #[test]
-    fn galerkin_reduces_order_on_staggered_axis() {
-        let lo = [-4i64, -4, -4];
-        let n = [16i64, 12, 12];
-        // Quadratic variation along x only: order-1 interpolation cannot
-        // reproduce it, order-2 can; Galerkin must show the order-1
-        // (linear) behavior along the staggered axis.
-        let mut data = vec![0.0; (n[0] * n[1] * n[2]) as usize];
-        for k in 0..n[2] {
-            for j in 0..n[1] {
-                for i in 0..n[0] {
-                    let x = (lo[0] + i) as f64 + 0.5;
-                    data[(k * n[1] * n[0] + j * n[0] + i) as usize] = x * x;
-                }
-            }
-        }
-        let v = FieldView {
-            data: data.as_slice(),
-            lo,
-            nx: n[0],
-            nxy: n[0] * n[1],
-            half: [true, false, false],
-        };
-        // At a point midway between two staggered samples, linear interp
-        // gives the average of the neighbors, not the exact parabola.
-        let xi = [2.0, 1.0, 1.0]; // between x samples at 1.5 and 2.5
-        let got = super::interp_one_galerkin::<Quadratic, f64>(&v, xi);
-        let linear_expected = 0.5 * (1.5f64 * 1.5 + 2.5 * 2.5);
-        assert!((got - linear_expected).abs() < 1e-12, "{got}");
-    }
-}
-
-/// Optimized 2-D (x–z) gather: per-particle weights computed once for
-/// both stagger variants and shared across components; contiguous
-/// unchecked row loads (same restructuring as [`gather3_blocked`]).
-pub fn gather2_blocked<S: Shape, T: Real>(
-    x: &[T],
-    z: &[T],
-    geom: &Geom,
-    f: &EmViews<'_, T>,
-    out: &mut EmOut<'_, T>,
-) {
-    let n = x.len();
-    assert!(z.len() == n && out.ex.len() >= n);
-    for p in 0..n {
-        let xi_x = geom.xi(0, x[p]);
-        let xi_z = geom.xi(2, z[p]);
-        let (ixn, wxn) = S::eval(xi_x);
-        let (ixh, wxh) = S::eval(xi_x - T::HALF);
-        let (izn, wzn) = S::eval(xi_z);
-        let (izh, wzh) = S::eval(xi_z - T::HALF);
-        fn pick<'a, T>(
-            half: bool,
-            n_: (i64, &'a [T; 4]),
-            h: (i64, &'a [T; 4]),
-        ) -> (i64, &'a [T; 4]) {
-            if half {
-                h
-            } else {
-                n_
-            }
-        }
-        let comp = |f: &FieldView<'_, T>| -> T {
-            let (ix, wx) = pick(f.half[0], (ixn, &wxn), (ixh, &wxh));
-            let (iz, wz) = pick(f.half[2], (izn, &wzn), (izh, &wzh));
-            let base = f.idx(ix, f.lo[1], iz);
-            debug_assert!(
-                base + ((S::SUPPORT - 1) as i64 * f.nxy) as usize + S::SUPPORT <= f.data.len()
-            );
-            let mut acc = T::ZERO;
-            for c in 0..S::SUPPORT {
-                let row = base + (c as i64 * f.nxy) as usize;
-                let mut racc = T::ZERO;
-                for a in 0..S::SUPPORT {
-                    // SAFETY: guard-reach contract, debug-asserted above.
-                    let v = unsafe { *f.data.get_unchecked(row + a) };
-                    racc = wx[a].mul_add(v, racc);
-                }
-                acc = wz[c].mul_add(racc, acc);
-            }
-            acc
-        };
-        out.ex[p] = comp(&f.ex);
-        out.ey[p] = comp(&f.ey);
-        out.ez[p] = comp(&f.ez);
-        out.bx[p] = comp(&f.bx);
-        out.by[p] = comp(&f.by);
-        out.bz[p] = comp(&f.bz);
-    }
-}
-
-#[cfg(test)]
-mod blocked2_tests {
-    use super::*;
-    use crate::shape::Quadratic;
-
-    #[test]
-    fn gather2_blocked_matches_baseline() {
-        let lo = [-4i64, 0, -4];
-        let n = [24i64, 1, 20];
-        let mk = |seed: f64| {
-            let mut data = vec![0.0; (n[0] * n[1] * n[2]) as usize];
-            for k in 0..n[2] {
-                for i in 0..n[0] {
-                    data[(k * n[0] + i) as usize] = ((i * 31 + k * 7) as f64 * seed).sin();
-                }
-            }
-            data
-        };
-        let d: Vec<Vec<f64>> = (0..6).map(|c| mk(0.1 * (c + 1) as f64)).collect();
-        let halves = [
-            [true, false, false],
-            [false, false, false],
-            [false, false, true],
-            [false, false, true],
-            [true, false, true],
-            [true, false, false],
-        ];
-        let view = |i: usize| FieldView {
-            data: d[i].as_slice(),
-            lo,
-            nx: n[0],
-            nxy: n[0] * n[1],
-            half: halves[i],
-        };
-        let f = EmViews {
-            ex: view(0),
-            ey: view(1),
-            ez: view(2),
-            bx: view(3),
-            by: view(4),
-            bz: view(5),
-        };
-        let geom = Geom {
-            xmin: [0.0; 3],
-            dx: [1.0; 3],
-        };
-        let xs = vec![0.3, 5.7, 11.9, 2.0];
-        let zs = vec![1.1, 8.4, 0.0, 7.5];
-        let run = |blocked: bool| {
-            let np = xs.len();
-            let mut o = (
-                vec![0.0; np],
-                vec![0.0; np],
-                vec![0.0; np],
-                vec![0.0; np],
-                vec![0.0; np],
-                vec![0.0; np],
-            );
-            {
-                let mut out = EmOut {
-                    ex: &mut o.0,
-                    ey: &mut o.1,
-                    ez: &mut o.2,
-                    bx: &mut o.3,
-                    by: &mut o.4,
-                    bz: &mut o.5,
-                };
-                if blocked {
-                    gather2_blocked::<Quadratic, f64>(&xs, &zs, &geom, &f, &mut out);
-                } else {
-                    gather2::<Quadratic, f64>(&xs, &zs, &geom, &f, &mut out);
-                }
-            }
-            o
-        };
-        let a = run(false);
-        let b = run(true);
-        for p in 0..xs.len() {
-            for (x, y) in [(&a.0, &b.0), (&a.1, &b.1), (&a.4, &b.4)] {
-                assert!(
-                    (x[p] - y[p]).abs() <= 1e-12 * x[p].abs().max(1e-30),
-                    "particle {p}: {} vs {}",
-                    x[p],
-                    y[p]
-                );
             }
         }
     }

@@ -25,9 +25,9 @@
 //! same association, same accumulation chains, deposits scattered in
 //! ascending lane = ascending particle order), so `Lanes` results are
 //! bitwise identical to `gather2`/`gather3`/`esirkepov2`/`esirkepov3`/
-//! `push_momentum` at any `W` — the dispatch width is a pure
-//! performance knob. Property tests in `tests/lane_bitwise.rs` enforce
-//! this for particle sets straddling box edges.
+//! `push_momentum` at any `W` and in both precisions. Property tests in
+//! `tests/lane_bitwise.rs` enforce this for particle sets straddling
+//! box edges.
 
 use crate::deposit::{esirkepov2, esirkepov3, JViews};
 use crate::gather::{gather2, gather3, EmOut, EmViews};
@@ -36,24 +36,20 @@ use crate::real::Real;
 use crate::shape::{sel, Shape};
 use crate::view::{FieldView, Geom};
 
-/// Default particle-block width. 16 doubles = two ZMM registers per op:
-/// wide enough to amortize the per-block staging and containment check,
-/// small enough that the staged weights stay cache-resident; justified
-/// empirically by the `lane_width_sweep` block in
-/// `BENCH_step_loop.json`.
+/// The particle-block width the step loop runs at. 16 doubles = two ZMM
+/// registers per op: wide enough to amortize the per-block staging and
+/// containment check, small enough that the staged weights stay
+/// cache-resident (a 4/8/16 sweep on the 2-D order-2 uniform plasma
+/// found the gather fastest at 16).
 pub const DEFAULT_LANE_WIDTH: usize = 16;
-
-/// Lane widths the run config accepts.
-pub const LANE_WIDTHS: [usize; 3] = [4, 8, 16];
 
 /// Widest block the deposit kernels run at. Gather keeps getting faster
 /// up to W = 16 (pure vector loads), but the deposit's scatter is a
 /// serial per-lane read-modify-write chain, and past 8 lanes the larger
-/// staged axis tiles cost more than the extra lanes amortize (see the
-/// `lane_width_sweep` / perf-probe data). Blocks wider than this are
-/// re-blocked — pure re-blocking: per-particle values, fallback
-/// behavior, and deposit order are width-invariant, so results stay
-/// bitwise identical.
+/// staged axis tiles cost more than the extra lanes amortize. Blocks
+/// wider than this are re-blocked — pure re-blocking: per-particle
+/// values, fallback behavior, and deposit order are width-invariant, so
+/// results stay bitwise identical.
 const DEPOSIT_MAX_WIDTH: usize = 8;
 
 /// Lane-blocked kernel entry points at block width `W`.

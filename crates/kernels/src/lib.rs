@@ -4,12 +4,14 @@
 //! gather and the current deposition (paper §V-A): interpolating data
 //! between continuous particle positions and the discrete staggered mesh.
 //! This crate implements those kernels (plus the relativistic particle
-//! pushers) in both a **baseline** per-particle form and an **optimized**
-//! particle-blocked form that mirrors the paper's A64FX vectorization
-//! strategy: compute interpolation weights for groups of `N_grp` particles
-//! into transposed structure-of-arrays temporaries that stay cache
-//! resident, so the innermost loops run over particles, not over the tiny
-//! stencil extents.
+//! pushers) once as scalar per-particle **reference** kernels
+//! ([`gather`], [`deposit`], [`push`]) and once as the **lane-blocked**
+//! [`Lanes`] family the step loop runs, which mirrors the paper's A64FX
+//! vectorization strategy: interpolation weights for a block of `W`
+//! particles are staged into transposed structure-of-arrays temporaries
+//! that stay cache resident, so the innermost loops run over particles,
+//! not over the tiny stencil extents. The lane kernels are bitwise
+//! identical to the reference ones and fall back to them on edge blocks.
 //!
 //! All kernels are generic over [`Real`] (`f32`/`f64`) so the paper's
 //! double-precision and mixed-precision modes can both be exercised.
@@ -37,7 +39,7 @@ pub mod real;
 pub mod shape;
 pub mod view;
 
-pub use lanes::{Lanes, DEFAULT_LANE_WIDTH, LANE_WIDTHS};
+pub use lanes::{Lanes, DEFAULT_LANE_WIDTH};
 pub use real::Real;
-pub use shape::{Cubic, Linear, Ngp, Quadratic, Shape};
+pub use shape::{Cubic, Linear, Quadratic, Shape};
 pub use view::{FieldView, FieldViewMut, Geom};

@@ -16,9 +16,6 @@ use crate::real::Real;
 pub trait Shape: Copy + Send + Sync + 'static {
     const ORDER: usize;
     const SUPPORT: usize;
-    /// The shape one order lower (used by the Galerkin gather, which
-    /// reduces the order along staggered axes). NGP is its own lower.
-    type Lower: Shape;
 
     /// FP-domain evaluation: the first touched grid index *as its exact
     /// floating-point floor value* plus the `SUPPORT` weights (tail of
@@ -64,21 +61,6 @@ pub trait Shape: Copy + Send + Sync + 'static {
     }
 }
 
-/// Order-0 (nearest-grid-point) shape: the Galerkin reduction of linear.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Ngp;
-
-impl Shape for Ngp {
-    const ORDER: usize = 0;
-    const SUPPORT: usize = 1;
-    type Lower = Ngp;
-
-    #[inline(always)]
-    fn eval_fp<T: Real>(xi: T) -> (T, [T; 4]) {
-        ((xi + T::HALF).floor(), [T::ONE, T::ZERO, T::ZERO, T::ZERO])
-    }
-}
-
 /// Order-1 (linear / cloud-in-cell) shape.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Linear;
@@ -96,7 +78,6 @@ pub struct Cubic;
 impl Shape for Linear {
     const ORDER: usize = 1;
     const SUPPORT: usize = 2;
-    type Lower = Ngp;
 
     #[inline(always)]
     fn eval_fp<T: Real>(xi: T) -> (T, [T; 4]) {
@@ -113,7 +94,6 @@ impl Shape for Linear {
 impl Shape for Quadratic {
     const ORDER: usize = 2;
     const SUPPORT: usize = 3;
-    type Lower = Linear;
 
     #[inline(always)]
     fn eval_fp<T: Real>(xi: T) -> (T, [T; 4]) {
@@ -136,7 +116,6 @@ impl Shape for Quadratic {
 impl Shape for Cubic {
     const ORDER: usize = 3;
     const SUPPORT: usize = 4;
-    type Lower = Quadratic;
 
     #[inline(always)]
     fn eval_fp<T: Real>(xi: T) -> (T, [T; 4]) {
@@ -239,15 +218,6 @@ mod tests {
             check_partition::<Quadratic>(xi);
             check_partition::<Cubic>(xi);
         }
-    }
-
-    #[test]
-    fn ngp_picks_nearest() {
-        let (i0, w) = Ngp::eval::<f64>(2.4);
-        assert_eq!(i0, 2);
-        assert_eq!(w[0], 1.0);
-        let (i0, _) = Ngp::eval::<f64>(2.6);
-        assert_eq!(i0, 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests: the lane-blocked kernels are bitwise identical to
 //! the scalar reference kernels for random particle sets straddling
-//! box edges.
+//! box edges, in both kernel precisions (`f64` and `f32`).
 //!
 //! Positions are biased toward the extremes of the legal range, so
 //! stencil windows routinely touch the first and last stored rows —
@@ -14,6 +14,7 @@
 use mrpic_kernels::deposit::{esirkepov2, esirkepov3, JViews};
 use mrpic_kernels::gather::{gather2, gather3, EmOut, EmViews};
 use mrpic_kernels::lanes::Lanes;
+use mrpic_kernels::real::Real;
 use mrpic_kernels::shape::{dual, Cubic, Linear, Quadratic, Shape};
 use mrpic_kernels::view::{FieldView, FieldViewMut, Geom};
 use proptest::prelude::*;
@@ -31,14 +32,21 @@ fn geom() -> Geom {
     }
 }
 
-fn fill(seed: u64, n: usize) -> Vec<f64> {
+fn fill<T: Real>(seed: u64, n: usize) -> Vec<T> {
     let mut s = seed | 1;
     (0..n)
         .map(|_| {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            T::from_f64((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
         })
         .collect()
+}
+
+/// Bit pattern of a kernel result: `f32 -> f64` is exact and
+/// injective, so equal patterns mean bitwise-equal values in either
+/// precision.
+fn bits<T: Real>(v: T) -> u64 {
+    v.to_f64().to_bits()
 }
 
 /// Unit-interval coordinate biased toward the edges of the range: 20%
@@ -52,36 +60,39 @@ fn edge_u() -> impl Strategy<Value = f64> {
 }
 
 /// Nudge `xi` until both stagger variants' windows fit `[lo, lo+ext)`;
-/// edge-touching values are kept as-is.
-fn clamp_gather<S: Shape>(mut xi: f64, lo: i64, ext: i64) -> f64 {
+/// edge-touching values are kept as-is. Runs in the kernel precision,
+/// so the clamped value is exactly what the kernels see.
+fn clamp_gather<S: Shape, T: Real>(xi: f64, lo: i64, ext: i64) -> T {
+    let mut xi = T::from_f64(xi);
     loop {
-        let (i_n, _) = S::eval::<f64>(xi);
-        let (i_h, _) = S::eval::<f64>(xi - 0.5);
+        let (i_n, _) = S::eval::<T>(xi);
+        let (i_h, _) = S::eval::<T>(xi - T::HALF);
         let mn = i_n.min(i_h);
         let mx = i_n.max(i_h);
         if mn >= lo && mx + S::SUPPORT as i64 <= lo + ext {
             return xi;
         }
-        xi += if mn < lo { 0.5 } else { -0.5 };
+        xi += if mn < lo { T::HALF } else { -T::HALF };
     }
 }
 
 /// Nudge an old/new position pair until the dual (Esirkepov) window
 /// fits `[lo, lo+ext)`, preserving the displacement.
-fn clamp_pair<S: Shape>(mut a: f64, mut b: f64, lo: i64, ext: i64) -> (f64, f64) {
+fn clamp_pair<S: Shape, T: Real>(a: f64, b: f64, lo: i64, ext: i64) -> (T, T) {
     let len = S::SUPPORT as i64 + 1;
+    let (mut a, mut b) = (T::from_f64(a), T::from_f64(b));
     loop {
-        let (anc, _, _) = dual::<S, f64>(a, b);
+        let (anc, _, _) = dual::<S, T>(a, b);
         if anc >= lo && anc + len <= lo + ext {
             return (a, b);
         }
-        let d = if anc < lo { 0.5 } else { -0.5 };
+        let d = if anc < lo { T::HALF } else { -T::HALF };
         a += d;
         b += d;
     }
 }
 
-fn view(data: &[f64], half: [bool; 3]) -> FieldView<'_, f64> {
+fn view<T: Real>(data: &[T], half: [bool; 3]) -> FieldView<'_, T> {
     FieldView {
         data,
         lo: LO,
@@ -91,7 +102,7 @@ fn view(data: &[f64], half: [bool; 3]) -> FieldView<'_, f64> {
     }
 }
 
-fn em_views(store: &[Vec<f64>; 6]) -> EmViews<'_, f64> {
+fn em_views<T: Real>(store: &[Vec<T>; 6]) -> EmViews<'_, T> {
     EmViews {
         ex: view(&store[0], [true, false, false]),
         ey: view(&store[1], [false, true, false]),
@@ -104,7 +115,7 @@ fn em_views(store: &[Vec<f64>; 6]) -> EmViews<'_, f64> {
 
 /// J views; `jx` is one point shorter along x (its own strides and
 /// data), which is what drives blocks onto the scalar fallback.
-fn j_views(store: &mut [Vec<f64>; 3]) -> JViews<'_, f64> {
+fn j_views<T: Real>(store: &mut [Vec<T>; 3]) -> JViews<'_, T> {
     let [jx, jy, jz] = store;
     JViews {
         jx: FieldViewMut {
@@ -131,17 +142,16 @@ fn j_views(store: &mut [Vec<f64>; 3]) -> JViews<'_, f64> {
     }
 }
 
-fn j_store() -> [Vec<f64>; 3] {
+fn j_store<T: Real>() -> [Vec<T>; 3] {
     [
-        vec![0.0; ((NX - 1) * NY * NZ) as usize],
-        vec![0.0; (NX * NY * NZ) as usize],
-        vec![0.0; (NX * NY * NZ) as usize],
+        vec![T::ZERO; ((NX - 1) * NY * NZ) as usize],
+        vec![T::ZERO; (NX * NY * NZ) as usize],
+        vec![T::ZERO; (NX * NY * NZ) as usize],
     ]
 }
 
-fn run_gather<S: Shape, const W: usize>(us: &[(f64, f64, f64)], dim2: bool) {
-    let store: [Vec<f64>; 6] =
-        std::array::from_fn(|i| fill(77 + i as u64, (NX * NY * NZ) as usize));
+fn run_gather<S: Shape, T: Real, const W: usize>(us: &[(f64, f64, f64)], dim2: bool) {
+    let store: [Vec<T>; 6] = std::array::from_fn(|i| fill(77 + i as u64, (NX * NY * NZ) as usize));
     let f = em_views(&store);
     let g = geom();
     let n = us.len();
@@ -149,13 +159,25 @@ fn run_gather<S: Shape, const W: usize>(us: &[(f64, f64, f64)], dim2: bool) {
     let mut y = Vec::new();
     let mut z = Vec::new();
     for &(ux, uy, uz) in us {
-        x.push(clamp_gather::<S>(LO[0] as f64 + ux * NX as f64, LO[0], NX));
-        y.push(clamp_gather::<S>(LO[1] as f64 + uy * NY as f64, LO[1], NY));
-        z.push(clamp_gather::<S>(LO[2] as f64 + uz * NZ as f64, LO[2], NZ));
+        x.push(clamp_gather::<S, T>(
+            LO[0] as f64 + ux * NX as f64,
+            LO[0],
+            NX,
+        ));
+        y.push(clamp_gather::<S, T>(
+            LO[1] as f64 + uy * NY as f64,
+            LO[1],
+            NY,
+        ));
+        z.push(clamp_gather::<S, T>(
+            LO[2] as f64 + uz * NZ as f64,
+            LO[2],
+            NZ,
+        ));
     }
-    let mut a = vec![vec![0.0f64; n]; 6];
-    let mut b = vec![vec![0.0f64; n]; 6];
-    let run = |o: &mut Vec<Vec<f64>>, lanes: bool| {
+    let mut a = vec![vec![T::ZERO; n]; 6];
+    let mut b = vec![vec![T::ZERO; n]; 6];
+    let run = |o: &mut Vec<Vec<T>>, lanes: bool| {
         let [o0, o1, o2, o3, o4, o5] = &mut o[..] else {
             unreachable!()
         };
@@ -168,27 +190,23 @@ fn run_gather<S: Shape, const W: usize>(us: &[(f64, f64, f64)], dim2: bool) {
             bz: o5,
         };
         match (dim2, lanes) {
-            (false, false) => gather3::<S, f64>(&x, &y, &z, &g, &f, &mut out),
-            (false, true) => Lanes::<W>::gather3::<S, f64>(&x, &y, &z, &g, &f, &mut out),
-            (true, false) => gather2::<S, f64>(&x, &z, &g, &f, &mut out),
-            (true, true) => Lanes::<W>::gather2::<S, f64>(&x, &z, &g, &f, &mut out),
+            (false, false) => gather3::<S, T>(&x, &y, &z, &g, &f, &mut out),
+            (false, true) => Lanes::<W>::gather3::<S, T>(&x, &y, &z, &g, &f, &mut out),
+            (true, false) => gather2::<S, T>(&x, &z, &g, &f, &mut out),
+            (true, true) => Lanes::<W>::gather2::<S, T>(&x, &z, &g, &f, &mut out),
         }
     };
     run(&mut a, false);
     run(&mut b, true);
     for c in 0..6 {
         for p in 0..n {
-            assert_eq!(
-                a[c][p].to_bits(),
-                b[c][p].to_bits(),
-                "comp {c} particle {p}"
-            );
+            assert_eq!(bits(a[c][p]), bits(b[c][p]), "comp {c} particle {p}");
         }
     }
 }
 
 #[allow(clippy::type_complexity)]
-fn run_deposit<S: Shape, const W: usize>(
+fn run_deposit<S: Shape, T: Real, const W: usize>(
     parts: &[((f64, f64, f64), (f64, f64, f64), f64)],
     dim2: bool,
 ) {
@@ -198,7 +216,7 @@ fn run_deposit<S: Shape, const W: usize>(
     let mut w = Vec::new();
     let mut vy = Vec::new();
     for &((ux, uy, uz), (dx, dy, dz), wt) in parts {
-        let (a, b) = clamp_pair::<S>(
+        let (a, b) = clamp_pair::<S, T>(
             LO[0] as f64 + ux * NX as f64,
             LO[0] as f64 + ux * NX as f64 + dx,
             LO[0],
@@ -206,7 +224,7 @@ fn run_deposit<S: Shape, const W: usize>(
         );
         x0.push(a);
         x1.push(b);
-        let (a, b) = clamp_pair::<S>(
+        let (a, b) = clamp_pair::<S, T>(
             LO[1] as f64 + uy * NY as f64,
             LO[1] as f64 + uy * NY as f64 + dy,
             LO[1],
@@ -214,7 +232,7 @@ fn run_deposit<S: Shape, const W: usize>(
         );
         y0.push(a);
         y1.push(b);
-        let (a, b) = clamp_pair::<S>(
+        let (a, b) = clamp_pair::<S, T>(
             LO[2] as f64 + uz * NZ as f64,
             LO[2] as f64 + uz * NZ as f64 + dz,
             LO[2],
@@ -222,27 +240,27 @@ fn run_deposit<S: Shape, const W: usize>(
         );
         z0.push(a);
         z1.push(b);
-        w.push(1.0 + wt);
-        vy.push(1e6 * (wt - 0.5));
+        w.push(T::from_f64(1.0 + wt));
+        vy.push(T::from_f64(1e6 * (wt - 0.5)));
     }
-    let q = 1.6e-19;
-    let dt = 1e-9;
-    let mut sa = j_store();
-    let mut sb = j_store();
+    let q = T::from_f64(1.6e-19);
+    let dt = T::from_f64(1e-9);
+    let mut sa = j_store::<T>();
+    let mut sb = j_store::<T>();
     if dim2 {
         let mut j = j_views(&mut sa);
-        esirkepov2::<S, f64>(&x0, &z0, &x1, &z1, &vy, &w, q, dt, &g, &mut j);
+        esirkepov2::<S, T>(&x0, &z0, &x1, &z1, &vy, &w, q, dt, &g, &mut j);
         let mut j = j_views(&mut sb);
-        Lanes::<W>::esirkepov2::<S, f64>(&x0, &z0, &x1, &z1, &vy, &w, q, dt, &g, &mut j);
+        Lanes::<W>::esirkepov2::<S, T>(&x0, &z0, &x1, &z1, &vy, &w, q, dt, &g, &mut j);
     } else {
         let mut j = j_views(&mut sa);
-        esirkepov3::<S, f64>(&x0, &y0, &z0, &x1, &y1, &z1, &w, q, dt, &g, &mut j);
+        esirkepov3::<S, T>(&x0, &y0, &z0, &x1, &y1, &z1, &w, q, dt, &g, &mut j);
         let mut j = j_views(&mut sb);
-        Lanes::<W>::esirkepov3::<S, f64>(&x0, &y0, &z0, &x1, &y1, &z1, &w, q, dt, &g, &mut j);
+        Lanes::<W>::esirkepov3::<S, T>(&x0, &y0, &z0, &x1, &y1, &z1, &w, q, dt, &g, &mut j);
     }
     for c in 0..3 {
         for i in 0..sa[c].len() {
-            assert_eq!(sa[c][i].to_bits(), sb[c][i].to_bits(), "comp {c} cell {i}");
+            assert_eq!(bits(sa[c][i]), bits(sb[c][i]), "comp {c} cell {i}");
         }
     }
 }
@@ -265,23 +283,40 @@ fn moves() -> impl Strategy<Value = Vec<((f64, f64, f64), (f64, f64, f64), f64)>
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // ~48 cases per precision.
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn gather_bitwise_at_edges(us in units(), order in 1usize..4, dim2 in any::<bool>()) {
-        match order {
-            1 => run_gather::<Linear, 4>(&us, dim2),
-            2 => run_gather::<Quadratic, 8>(&us, dim2),
-            _ => run_gather::<Cubic, 16>(&us, dim2),
+    fn gather_bitwise_at_edges(
+        us in units(),
+        order in 1usize..4,
+        dim2 in any::<bool>(),
+        single in any::<bool>(),
+    ) {
+        match (order, single) {
+            (1, false) => run_gather::<Linear, f64, 4>(&us, dim2),
+            (2, false) => run_gather::<Quadratic, f64, 8>(&us, dim2),
+            (_, false) => run_gather::<Cubic, f64, 16>(&us, dim2),
+            (1, true) => run_gather::<Linear, f32, 4>(&us, dim2),
+            (2, true) => run_gather::<Quadratic, f32, 8>(&us, dim2),
+            (_, true) => run_gather::<Cubic, f32, 16>(&us, dim2),
         }
     }
 
     #[test]
-    fn deposit_bitwise_at_edges(parts in moves(), order in 1usize..4, dim2 in any::<bool>()) {
-        match order {
-            1 => run_deposit::<Linear, 8>(&parts, dim2),
-            2 => run_deposit::<Quadratic, 4>(&parts, dim2),
-            _ => run_deposit::<Cubic, 16>(&parts, dim2),
+    fn deposit_bitwise_at_edges(
+        parts in moves(),
+        order in 1usize..4,
+        dim2 in any::<bool>(),
+        single in any::<bool>(),
+    ) {
+        match (order, single) {
+            (1, false) => run_deposit::<Linear, f64, 8>(&parts, dim2),
+            (2, false) => run_deposit::<Quadratic, f64, 4>(&parts, dim2),
+            (_, false) => run_deposit::<Cubic, f64, 16>(&parts, dim2),
+            (1, true) => run_deposit::<Linear, f32, 8>(&parts, dim2),
+            (2, true) => run_deposit::<Quadratic, f32, 4>(&parts, dim2),
+            (_, true) => run_deposit::<Cubic, f32, 16>(&parts, dim2),
         }
     }
 }

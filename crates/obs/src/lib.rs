@@ -19,10 +19,9 @@
 //!   SIGUSR1 — so a crashed rank no longer takes its last seconds of
 //!   context to the grave.
 //!
-//! The plane is opt-in and budgeted: with no hub attached the cost is
-//! zero, and with one attached the per-step cost is a ring push plus a
-//! mutex-guarded map insert (asserted < 1% of step time in the
-//! `step_loop` bench).
+//! The plane is opt-in: with no hub attached the cost is zero, and with
+//! one attached the per-step cost is a ring push plus a mutex-guarded
+//! map insert.
 //!
 //! [`StepRecord`]: mrpic_core::telemetry::StepRecord
 

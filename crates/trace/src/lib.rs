@@ -19,8 +19,8 @@
 //! - **Enabled**: two `Instant` reads plus two single-producer ring
 //!   pushes per span (~tens of nanoseconds). Spans are placed at phase,
 //!   box, and message granularity — never per particle — so a traced
-//!   step stays within a few percent of an untraced one (enforced by
-//!   the `step_loop` bench's `trace` block).
+//!   step stays within a few percent of an untraced one (measured per
+//!   workload as `bench.trace_overhead_share` by `mrpic_benchmark`).
 //!
 //! # Threading model
 //!
@@ -233,6 +233,7 @@ thread_local! {
     static LOCAL: RefCell<Option<ThreadRing>> = const { RefCell::new(None) };
 }
 
+/// Stamp `ev` with this thread's ring and the current time, and push it.
 fn push_event(mut ev: RawEvent) {
     // try_with: a span dropped during TLS teardown becomes a no-op
     // instead of a panic.
@@ -240,6 +241,10 @@ fn push_event(mut ev: RawEvent) {
         let mut slot = cell.borrow_mut();
         let tr = slot.get_or_insert_with(ThreadRing::register);
         ev.tid = tr.ring.tid;
+        // Read the clock only once the ring is ours: a recycled ring's
+        // previous owner has exited by then, so its events all precede
+        // ours and the shared tid track still nests.
+        ev.t_ns = now_ns();
         tr.ring.push(ev);
     });
 }
@@ -264,7 +269,7 @@ impl SpanGuard {
             };
         }
         push_event(RawEvent {
-            t_ns: now_ns(),
+            t_ns: 0,
             name,
             rank,
             tid: 0,
@@ -285,7 +290,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.active {
             push_event(RawEvent {
-                t_ns: now_ns(),
+                t_ns: 0,
                 name: self.name,
                 rank: self.rank,
                 tid: 0,
@@ -574,13 +579,27 @@ mod tests {
         t.check_nesting()
             .expect("independent tracks nest trivially");
         // Dead threads recycled their rings: the free list bounds ring
-        // allocation to the peak live thread count, not total spawns.
-        let inner = registry().inner.lock().unwrap();
-        assert!(inner.live.len() <= 1, "only the test thread may stay live");
+        // allocation to the peak live thread count, not total spawns. A
+        // thread returns its ring from a TLS destructor, which can still
+        // be running when `scope` returns, so wait for the workers' rings
+        // to leave the live set (threads of other tests may stay live).
+        let worker_tids: Vec<u32> = workers.iter().map(|s| s.tid).collect();
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        let (worker_live, free) = loop {
+            let (worker_live, free) = {
+                let inner = registry().inner.lock().unwrap();
+                let live = inner.live.iter().filter(|r| worker_tids.contains(&r.tid));
+                (live.count(), inner.free.len())
+            };
+            if worker_live == 0 || Instant::now() > deadline {
+                break (worker_live, free);
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(worker_live, 0, "exited workers must release their rings");
         assert!(
-            inner.free.len() <= 5,
-            "rings should be reused across scoped-thread rounds, got {}",
-            inner.free.len()
+            free <= 5,
+            "rings should be reused across scoped-thread rounds, got {free}"
         );
     }
 

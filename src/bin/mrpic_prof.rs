@@ -1,4 +1,4 @@
-//! Trace and benchmark profiler / regression gate.
+//! Trace and run-artifact profiler / regression gate.
 //!
 //! ```text
 //! mrpic_prof trace.json [--top N]
@@ -19,13 +19,11 @@
 //! * a critical-path summary through the send/recv dependency DAG.
 //!
 //! **Compare mode** diffs two reports and exits 4 when any tracked
-//! quantity regressed by more than the threshold (default 10%). Four
+//! quantity regressed by more than the threshold (default 10%). Three
 //! file kinds are understood: two Chrome traces (compares wall time,
 //! rank imbalance, and per-name span totals), two `mrpic_run`
 //! `summary.json` files (compares wall seconds and the run-mean
-//! telemetry imbalance), two `BENCH_step_loop.json` bench reports
-//! (compares `step_seconds` per case, keyed by case name and rank
-//! count), or two `mrpic-metrics-v1` fleet snapshots (from
+//! telemetry imbalance), or two `mrpic-metrics-v1` fleet snapshots (from
 //! `--metrics-out` / `GET /snapshot`; compares per-rank wire bytes and
 //! wait/exchange seconds plus the fleet imbalance) — so CI can gate on
 //! any artifact, including live-scraped counters.
@@ -168,44 +166,6 @@ fn trace_metrics(trace: &Trace) -> Vec<Metric> {
     v
 }
 
-/// Bench report (`BENCH_step_loop.json` schema) → per-case step seconds.
-fn bench_metrics(doc: &Value) -> Vec<Metric> {
-    let mut v = Vec::new();
-    let mut push_cases = |key: &str| {
-        if let Some(Value::Array(cases)) = doc.get(key) {
-            for c in cases {
-                let Some(name) = c.get("case").and_then(|x| x.as_str()) else {
-                    continue;
-                };
-                let Some(secs) = c.get("step_seconds").and_then(|x| x.as_f64()) else {
-                    continue;
-                };
-                let label = match c.get("ranks").and_then(|x| x.as_u64()) {
-                    Some(r) => format!("{name}@{r}ranks"),
-                    None => name.to_string(),
-                };
-                // Particle-kernel phases as their own gated metrics, so
-                // a gather or deposit regression cannot hide inside an
-                // improved total.
-                if let Some(ph) = c.get("phase_seconds") {
-                    for phase in ["gather", "deposit"] {
-                        if let Some(s) = ph.get(phase).and_then(|x| x.as_f64()) {
-                            v.push(Metric {
-                                label: format!("{label}:{phase}"),
-                                value: s,
-                            });
-                        }
-                    }
-                }
-                v.push(Metric { label, value: secs });
-            }
-        }
-    };
-    push_cases("cases");
-    push_cases("dist_cases");
-    v
-}
-
 /// `mrpic_run` summary.json → wall seconds plus the run-mean telemetry
 /// imbalance (when the run reported one). The imbalance label matches
 /// the trace metric so `--only imbalance` gates either artifact.
@@ -276,16 +236,10 @@ fn metrics_of(path: &str) -> Vec<Metric> {
         trace_metrics(&load_trace(path))
     } else if doc.get("wall_seconds").is_some() {
         summary_metrics(&doc)
-    } else if doc.get("bench").is_some() {
-        let m = bench_metrics(&doc);
-        if m.is_empty() {
-            fail(&format!("{path}: bench report has no comparable cases"));
-        }
-        m
     } else {
         fail(&format!(
             "{path}: not a Chrome trace (traceEvents), run summary (wall_seconds), \
-             bench report (bench), or metrics snapshot (schema mrpic-metrics-v1)"
+             or metrics snapshot (schema mrpic-metrics-v1)"
         ));
     }
 }

@@ -1,4 +1,4 @@
-//! §V-A.1 table reproduction: baseline vs optimized gather/deposition.
+//! §V-A.1 table reproduction: reference vs optimized gather/deposition.
 //!
 //! The paper reports, for the A64FX-optimized kernels on a single node:
 //!
@@ -8,18 +8,22 @@
 //! Deposition   246.2            53.51          4.60X
 //! ```
 //!
-//! We time the same restructuring retargeted at this host: the baseline
-//! per-component kernels vs the optimized variants (shared weight
-//! evaluation, contiguous fused-multiply-add inner rows, no bounds
-//! checks in the hot loop), order 3, single precision as in the paper's
-//! experiment. Absolute factors are ISA-specific; the *shape* under test
-//! is that the restructuring wins on both hot spots.
+//! We time the same restructuring retargeted at the host: the scalar
+//! reference kernels (`gather3`, `esirkepov3`) vs the lane-blocked
+//! `Lanes::<DEFAULT_LANE_WIDTH>` kernels the step loop runs (weights
+//! staged per particle block into transposed temporaries, inner loops
+//! over the block's lanes, no bounds checks on interior blocks), order
+//! 3, single precision as in the paper's experiment. Both sides produce
+//! bitwise-identical results. Absolute factors are ISA-specific; the
+//! *shape* under test is that the restructuring wins on both hot spots.
 //!
 //! Run with: `cargo run --release --bin table_va_kernel_opt`
 
-use mrpic::kernels::deposit::{esirkepov3, esirkepov3_blocked, JViews};
-use mrpic::kernels::gather::{gather3, gather3_blocked, EmOut, EmViews};
+use mrpic::kernels::deposit::{esirkepov3, JViews};
+use mrpic::kernels::gather::{gather3, EmOut, EmViews};
+use mrpic::kernels::shape::Cubic;
 use mrpic::kernels::view::{FieldView, FieldViewMut, Geom};
+use mrpic::kernels::{Lanes, DEFAULT_LANE_WIDTH};
 use std::time::Instant;
 
 const N: i64 = 64; // grid points per axis
@@ -102,7 +106,7 @@ fn main() {
     let flags = half_flags();
 
     // --- gather ---
-    let time_gather = |blocked: bool, arrays: &Arrays, out: &mut Vec<Vec<f32>>| -> f64 {
+    let time_gather = |lanes: bool, arrays: &Arrays, out: &mut Vec<Vec<f32>>| -> f64 {
         let views = EmViews {
             ex: view(&arrays.fields[0], flags[0]),
             ey: view(&arrays.fields[1], flags[1]),
@@ -126,12 +130,12 @@ fn main() {
                 by: &mut o4[0],
                 bz: &mut o5[0],
             };
-            if blocked {
-                gather3_blocked::<mrpic::kernels::shape::Cubic, f32>(
+            if lanes {
+                Lanes::<DEFAULT_LANE_WIDTH>::gather3::<Cubic, f32>(
                     &xs, &ys, &zs, &geom, &views, &mut eo,
                 );
             } else {
-                gather3::<mrpic::kernels::shape::Cubic, f32>(&xs, &ys, &zs, &geom, &views, &mut eo);
+                gather3::<Cubic, f32>(&xs, &ys, &zs, &geom, &views, &mut eo);
             }
         }
         t0.elapsed().as_secs_f64()
@@ -140,7 +144,7 @@ fn main() {
     let g_opt = time_gather(true, &arrays, &mut out);
 
     // --- deposition ---
-    let time_deposit = |blocked: bool, arrays: &mut Arrays| -> f64 {
+    let time_deposit = |lanes: bool, arrays: &mut Arrays| -> f64 {
         let t0 = Instant::now();
         for _ in 0..REPS {
             for c in arrays.j.iter_mut() {
@@ -173,14 +177,12 @@ fn main() {
             };
             let q = -1.602e-19f32;
             let dt = 1.0e-15f32;
-            if blocked {
-                esirkepov3_blocked::<mrpic::kernels::shape::Cubic, f32>(
+            if lanes {
+                Lanes::<DEFAULT_LANE_WIDTH>::esirkepov3::<Cubic, f32>(
                     &xs, &ys, &zs, &x1, &y1, &z1, &w, q, dt, &geom, &mut jv,
                 );
             } else {
-                esirkepov3::<mrpic::kernels::shape::Cubic, f32>(
-                    &xs, &ys, &zs, &x1, &y1, &z1, &w, q, dt, &geom, &mut jv,
-                );
+                esirkepov3::<Cubic, f32>(&xs, &ys, &zs, &x1, &y1, &z1, &w, q, dt, &geom, &mut jv);
             }
         }
         t0.elapsed().as_secs_f64()
@@ -189,7 +191,8 @@ fn main() {
     let d_opt = time_deposit(true, &mut arrays);
 
     println!(
-        "§V-A.1 kernel-optimization table (this host, order 3, SP, {NP} particles x {REPS} reps)\n"
+        "§V-A.1 kernel-optimization table (this host, order 3, SP, {NP} particles x {REPS} reps, \
+         lanes W = {DEFAULT_LANE_WIDTH})\n"
     );
     println!("Routine      Reference (s)   Optimized (s)   Speed up");
     println!(

@@ -1,21 +1,22 @@
 //! Threading and exchange-plan-cache invariants of the step loop:
 //! stepping is bitwise identical at any thread count (including the MR
-//! fine-patch deposition, which is reduced in fixed box order), and
+//! fine-patch deposition, which is reduced in fixed box order, and the
+//! `f32` particle kernels), and
 //! steady-state steps construct zero exchange plans once caches are warm.
 
 use mrpic::amr::{IndexBox, IntVect};
 use mrpic::core::laser::antenna_for_a0;
 use mrpic::core::mr::MrConfig;
 use mrpic::core::profile::Profile;
-use mrpic::core::sim::{ShapeOrder, Simulation, SimulationBuilder};
+use mrpic::core::sim::{Precision, ShapeOrder, Simulation, SimulationBuilder};
 use mrpic::core::species::Species;
 use mrpic::field::fieldset::Dim;
 use rayon::ThreadPoolBuilder;
 
-/// A laser-foil run chopped into 8 boxes with an MR patch, so the
-/// box-parallel particle loop has real work to distribute.
-fn build(seed: u64, window: bool) -> Simulation {
-    let mut b = SimulationBuilder::new(Dim::Two)
+/// A laser-foil deck chopped into 8 boxes, so the box-parallel particle
+/// loop has real work to distribute.
+fn builder(seed: u64, window: bool) -> SimulationBuilder {
+    let b = SimulationBuilder::new(Dim::Two)
         .domain(IntVect::new(64, 1, 24), [0.1e-6; 3], [0.0; 3])
         .periodic([false, false, true])
         .pml(8)
@@ -40,9 +41,15 @@ fn build(seed: u64, window: bool) -> Simulation {
         )
         .add_laser(antenna_for_a0(1.5, 0.8e-6, 6.0e-15, 1.0e-6, 1.2e-6, 1.5e-6));
     if window {
-        b = b.moving_window(6.0e-15);
+        b.moving_window(6.0e-15)
+    } else {
+        b
     }
-    let mut sim = b.build();
+}
+
+/// The laser-foil deck with an MR patch over the foil.
+fn build(seed: u64, window: bool) -> Simulation {
+    let mut sim = builder(seed, window).build();
     sim.add_mr_patch(MrConfig {
         patch: IndexBox::new(IntVect::new(30, 0, 0), IntVect::new(56, 1, 24)),
         rr: 2,
@@ -55,8 +62,8 @@ fn build(seed: u64, window: bool) -> Simulation {
 
 #[test]
 fn step_is_bitwise_identical_across_thread_counts() {
-    let run = |threads: usize| -> Simulation {
-        let mut sim = build(11, false);
+    let run = |mk: &dyn Fn() -> Simulation, threads: usize| -> Simulation {
+        let mut sim = mk();
         ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -68,31 +75,47 @@ fn step_is_bitwise_identical_across_thread_counts() {
             });
         sim
     };
-    let a = run(1);
-    let b = run(4);
-    // Particles: identical to the bit.
-    for (x, y) in a.parts[0].bufs.iter().zip(&b.parts[0].bufs) {
-        assert_eq!(x.len(), y.len());
-        for i in 0..x.len() {
-            assert_eq!(x.x[i].to_bits(), y.x[i].to_bits());
-            assert_eq!(x.z[i].to_bits(), y.z[i].to_bits());
-            assert_eq!(x.ux[i].to_bits(), y.ux[i].to_bits());
-            assert_eq!(x.uz[i].to_bits(), y.uz[i].to_bits());
+    let check = |a: &Simulation, b: &Simulation| {
+        // Particles: identical to the bit.
+        for (x, y) in a.parts[0].bufs.iter().zip(&b.parts[0].bufs) {
+            assert_eq!(x.len(), y.len());
+            for i in 0..x.len() {
+                assert_eq!(x.x[i].to_bits(), y.x[i].to_bits());
+                assert_eq!(x.z[i].to_bits(), y.z[i].to_bits());
+                assert_eq!(x.ux[i].to_bits(), y.ux[i].to_bits());
+                assert_eq!(x.uz[i].to_bits(), y.uz[i].to_bits());
+            }
         }
-    }
-    // Parent fields and currents: identical to the bit.
-    for c in 0..3 {
-        for fi in 0..a.fs.e[c].nfabs() {
-            assert_eq!(a.fs.e[c].fab(fi).raw(), b.fs.e[c].fab(fi).raw());
-            assert_eq!(a.fs.j[c].fab(fi).raw(), b.fs.j[c].fab(fi).raw());
+        // Parent fields and currents: identical to the bit.
+        for c in 0..3 {
+            for fi in 0..a.fs.e[c].nfabs() {
+                assert_eq!(a.fs.e[c].fab(fi).raw(), b.fs.e[c].fab(fi).raw());
+                assert_eq!(a.fs.j[c].fab(fi).raw(), b.fs.j[c].fab(fi).raw());
+            }
         }
-    }
+    };
+    let mr_deck = || build(11, false);
+    let a = run(&mr_deck, 1);
+    let b = run(&mr_deck, 4);
+    check(&a, &b);
     // MR fine-patch state (deposited via the ordered reduction).
     let (ma, mb) = (a.mr.as_ref().unwrap(), b.mr.as_ref().unwrap());
     for c in 0..3 {
         assert_eq!(ma.fine.j[c].fab(0).raw(), mb.fine.j[c].fab(0).raw());
         assert_eq!(ma.fine.e[c].fab(0).raw(), mb.fine.e[c].fab(0).raw());
     }
+    // The f32 particle kernels (the same deck minus the patch: MR is
+    // f64-only), including the per-box f32 current tiles accumulated
+    // into the f64 fabs.
+    let f32_deck = || {
+        builder(11, false)
+            .precision(Precision::F32Particles)
+            .build()
+    };
+    let a = run(&f32_deck, 1);
+    let b = run(&f32_deck, 4);
+    assert_eq!(a.precision, Precision::F32Particles);
+    check(&a, &b);
 }
 
 /// The live LB policy's heuristic cost source reads deterministic
