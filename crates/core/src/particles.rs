@@ -86,17 +86,18 @@ impl ParticleBuf {
 
     /// Stable three-way partition by two nested predicates:
     /// `[p1 && p2 | p1 && !p2 | !p1]`. Returns the two pivots.
-    /// (`p2` is only evaluated where `p1` holds.)
+    /// (`p2` is only evaluated where `p1` holds.) An already partitioned
+    /// buffer — the steady state, since particles rarely cross a class
+    /// boundary in one step — is left untouched without allocating.
     pub fn partition3(
         &mut self,
         p1: impl Fn(f64, f64, f64) -> bool,
         p2: impl Fn(f64, f64, f64) -> bool,
     ) -> (usize, usize) {
         let n = self.len();
-        let mut order: Vec<u8> = Vec::with_capacity(n);
-        for i in 0..n {
+        let class = |i: usize| -> u8 {
             let (x, y, z) = (self.x[i], self.y[i], self.z[i]);
-            order.push(if p1(x, y, z) {
+            if p1(x, y, z) {
                 if p2(x, y, z) {
                     0
                 } else {
@@ -104,8 +105,23 @@ impl ParticleBuf {
                 }
             } else {
                 2
-            });
+            }
+        };
+        // Fast path: a non-decreasing class sequence is its own stable
+        // partition, so only the pivots are needed.
+        let mut counts = [0usize; 3];
+        let mut prev = 0u8;
+        let sorted = (0..n).all(|i| {
+            let c = class(i);
+            counts[c as usize] += 1;
+            let ok = c >= prev;
+            prev = c;
+            ok
+        });
+        if sorted {
+            return (counts[0], counts[0] + counts[1]);
         }
+        let order: Vec<u8> = (0..n).map(class).collect();
         let c0 = order.iter().filter(|&&c| c == 0).count();
         let c1 = order.iter().filter(|&&c| c == 1).count();
         let mut dst = [0usize, c0, c0 + c1];
@@ -351,6 +367,30 @@ mod tests {
         assert!(b.x[6..].iter().all(|&x| x >= 6.0));
         // Stability: relative order preserved within classes.
         assert_eq!(b.x[..3], [0.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn partition3_permutes_only_out_of_order_buffers() {
+        let xs = [7.0, 1.0, 4.0, 0.0, 9.0, 5.0, 2.0, 3.0];
+        let mut b = ParticleBuf::default();
+        for (i, &x) in xs.iter().enumerate() {
+            b.push(x, 0.0, 0.0, i as f64, 0.0, 0.0, 1.0);
+        }
+        let p1 = |x: f64, _: f64, _: f64| x < 6.0;
+        let p2 = |x: f64, _: f64, _: f64| x < 3.0;
+        assert_eq!(b.partition3(p1, p2), (3, 6));
+        // Stable within classes, and every array moved together.
+        assert_eq!(b.x, [1.0, 0.0, 2.0, 4.0, 5.0, 3.0, 7.0, 9.0]);
+        assert_eq!(b.ux, [1.0, 3.0, 6.0, 2.0, 5.0, 7.0, 0.0, 4.0]);
+        // Partitioning again is the identity with the same pivots.
+        let before = b.clone();
+        assert_eq!(b.partition3(p1, p2), (3, 6));
+        assert_eq!(b.x, before.x);
+        assert_eq!(b.ux, before.ux);
+        // Degenerate classes: empty buffer, one class only.
+        assert_eq!(ParticleBuf::default().partition3(p1, p2), (0, 0));
+        let mut all_outside = before.clone();
+        assert_eq!(all_outside.partition3(|_, _, _| false, p2), (0, 0));
     }
 
     #[test]

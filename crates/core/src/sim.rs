@@ -11,7 +11,7 @@
 use crate::balance::{self, CostTracker};
 use crate::laser::LaserAntenna;
 use crate::mr::{MrConfig, MrLevel};
-use crate::particles::ParticleContainer;
+use crate::particles::{ParticleBuf, ParticleContainer};
 use crate::species::{inject, Species};
 use crate::telemetry::{
     scan_arrays, GuardTrip, PhaseTimes, Probes, SpeciesCount, StepRecord, Telemetry,
@@ -29,13 +29,15 @@ use mrpic_field::yee;
 use mrpic_kernels::deposit::{deposit_rho2, deposit_rho3, JViews};
 use mrpic_kernels::gather::{EmOut, EmViews};
 use mrpic_kernels::lanes::{Lanes, DEFAULT_LANE_WIDTH};
-use mrpic_kernels::push::{gamma_of_u, push_position, push_position2};
+use mrpic_kernels::push::{gamma_of_u, push_position, push_position2, Pusher};
 use mrpic_kernels::real::Real;
 use mrpic_kernels::shape::{Cubic, Linear, Quadratic};
 use mrpic_kernels::view::{FieldView, FieldViewMut, Geom};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// The particle-kernel family the step loop runs.
 type L = Lanes<DEFAULT_LANE_WIDTH>;
@@ -180,10 +182,32 @@ fn box_kernel_hist() -> &'static mrpic_trace::metrics::Histogram {
     H.get_or_init(|| mrpic_trace::histogram("core.box_ns"))
 }
 
+/// Particles per chunk of the fused advance: gather, push and deposit of
+/// one chunk run back to back while its operands are still in L2. A
+/// multiple of the lane width, so only a segment's last chunk has a
+/// scalar tail.
+const CHUNK: usize = 1024;
+const _: () = assert!(CHUNK.is_multiple_of(DEFAULT_LANE_WIDTH));
+
 /// Per-thread particle workspace in the kernel precision `T`, reused
-/// across boxes and steps.
+/// across boxes and steps. The particle vectors hold one chunk (at most
+/// [`CHUNK`] particles), so the workspace does not grow with the box's
+/// particle count; only the `f32` field casts and current tiles are
+/// grid-sized.
 #[derive(Default)]
 struct Scratch<T> {
+    chunk: ChunkScratch<T>,
+    /// `f32` only (empty in `f64` runs, whose kernels borrow the fabs in
+    /// place): the guarded field windows of the current gather source,
+    /// and the current tiles of one deposit target, summed into the
+    /// `f64` fabs once the target's last chunk is deposited.
+    fld: [Vec<T>; 6],
+    j: [Vec<T>; 3],
+}
+
+/// The per-chunk particle vectors of a [`Scratch`].
+#[derive(Default)]
+struct ChunkScratch<T> {
     /// Gathered per-particle fields (Ex, Ey, Ez, Bx, By, Bz).
     em: [Vec<T>; 6],
     /// Pre-push positions, the deposit's old state.
@@ -191,14 +215,10 @@ struct Scratch<T> {
     /// Out-of-plane velocity at the half step (2-D deposition).
     vy: Vec<T>,
     /// `f32` staging only (empty in `f64` runs, whose kernels borrow the
-    /// particle buffers and fabs in place): post-push positions,
-    /// momenta, weights, guarded field windows, and per-box current
-    /// tiles accumulated into the `f64` fabs afterwards.
+    /// particle buffers in place): post-push positions, momenta, weights.
     x1: [Vec<T>; 3],
     u: [Vec<T>; 3],
     w: Vec<T>,
-    fld: [Vec<T>; 6],
-    j: [Vec<T>; 3],
 }
 
 /// Per-precision pools of [`Scratch`] workspaces.
@@ -267,12 +287,35 @@ trait KernelReal: Real {
     /// The six field windows as kernel views (`scratch` holds the casts).
     fn fields<'a>(src: EmViews<'a, f64>, scratch: &'a mut [Vec<Self>; 6]) -> EmViews<'a, Self>;
 
-    /// Run `deposit` against the current views `j` (through `tiles`).
-    fn deposit_into(
-        j: [FieldViewMut<'_, f64>; 3],
-        tiles: &mut [Vec<Self>; 3],
-        deposit: impl FnOnce(&mut JViews<'_, Self>),
-    );
+    /// The current views `j` as a deposit target (`tiles` holds the
+    /// `f32` accumulators).
+    fn target<'a>(
+        j: [FieldViewMut<'a, f64>; 3],
+        tiles: &'a mut [Vec<Self>; 3],
+    ) -> DepositTarget<'a, Self>;
+}
+
+/// One deposit target in kernel precision `T`: `f64` deposits straight
+/// into the current views, `f32` into zeroed tiles that
+/// [`DepositTarget::finish`] sums into them after the target's last
+/// chunk — once per target, because summing per chunk would round
+/// differently.
+struct DepositTarget<'a, T> {
+    views: JViews<'a, T>,
+    /// The `f64` currents the tiles fold into (`f32` only).
+    fold_into: Option<[FieldViewMut<'a, f64>; 3]>,
+}
+
+impl<T: Real> DepositTarget<'_, T> {
+    fn finish(self) {
+        let Some(dst) = self.fold_into else { return };
+        let JViews { jx, jy, jz } = self.views;
+        for (d, t) in dst.into_iter().zip([jx, jy, jz]) {
+            for (d, &s) in d.data.iter_mut().zip(t.data.iter()) {
+                *d += s.to_f64();
+            }
+        }
+    }
 }
 
 impl KernelReal for f64 {
@@ -299,12 +342,14 @@ impl KernelReal for f64 {
         src
     }
 
-    fn deposit_into(
-        [jx, jy, jz]: [FieldViewMut<'_, f64>; 3],
-        _: &mut [Vec<f64>; 3],
-        deposit: impl FnOnce(&mut JViews<'_, f64>),
-    ) {
-        deposit(&mut JViews { jx, jy, jz });
+    fn target<'a>(
+        [jx, jy, jz]: [FieldViewMut<'a, f64>; 3],
+        _: &'a mut [Vec<f64>; 3],
+    ) -> DepositTarget<'a, f64> {
+        DepositTarget {
+            views: JViews { jx, jy, jz },
+            fold_into: None,
+        }
     }
 }
 
@@ -353,11 +398,10 @@ impl KernelReal for f32 {
         }
     }
 
-    fn deposit_into(
-        j: [FieldViewMut<'_, f64>; 3],
-        tiles: &mut [Vec<f32>; 3],
-        deposit: impl FnOnce(&mut JViews<'_, f32>),
-    ) {
+    fn target<'a>(
+        j: [FieldViewMut<'a, f64>; 3],
+        tiles: &'a mut [Vec<f32>; 3],
+    ) -> DepositTarget<'a, f32> {
         /// A zeroed `f32` tile with the layout of `v`.
         fn tile<'a>(t: &'a mut Vec<f32>, v: &FieldViewMut<'_, f64>) -> FieldViewMut<'a, f32> {
             t.clear();
@@ -371,29 +415,27 @@ impl KernelReal for f32 {
             }
         }
         let [tx, ty, tz] = tiles;
-        deposit(&mut JViews {
-            jx: tile(tx, &j[0]),
-            jy: tile(ty, &j[1]),
-            jz: tile(tz, &j[2]),
-        });
-        for (dst, t) in j.into_iter().zip(tiles.iter()) {
-            for (d, &s) in dst.data.iter_mut().zip(t) {
-                *d += s as f64;
-            }
+        DepositTarget {
+            views: JViews {
+                jx: tile(tx, &j[0]),
+                jy: tile(ty, &j[1]),
+                jz: tile(tz, &j[2]),
+            },
+            fold_into: Some(j),
         }
     }
 }
 
-/// Reborrow the `[lo, hi)` window of the gathered-field scratch.
-fn em_out<T>(em: &mut [Vec<T>; 6], lo: usize, hi: usize) -> EmOut<'_, T> {
+/// The first `len` slots of the gathered-field scratch.
+fn em_out<T>(em: &mut [Vec<T>; 6], len: usize) -> EmOut<'_, T> {
     let [ex, ey, ez, bx, by, bz] = em;
     EmOut {
-        ex: &mut ex[lo..hi],
-        ey: &mut ey[lo..hi],
-        ez: &mut ez[lo..hi],
-        bx: &mut bx[lo..hi],
-        by: &mut by[lo..hi],
-        bz: &mut bz[lo..hi],
+        ex: &mut ex[..len],
+        ey: &mut ey[..len],
+        ez: &mut ez[..len],
+        bx: &mut bx[..len],
+        by: &mut by[..len],
+        bz: &mut bz[..len],
     }
 }
 
@@ -440,6 +482,189 @@ fn deposit<T: Real>(
             Dim::Two => L::esirkepov2::<S, T>(x0, z0, x1, z1, vy, w, q, dt, geom, j),
         }
     )
+}
+
+/// Physical `[lo, hi)` bounds of a region.
+type PhysRegion = ([f64; 3], [f64; 3]);
+
+/// Stable partition of `buf` for MR routing, `[aux gather | transition
+/// | outside the patch]`; returns the two pivots. `y` is ignored in 2-D.
+fn mr_partition(
+    buf: &mut ParticleBuf,
+    dim: Dim,
+    patch: PhysRegion,
+    gather: PhysRegion,
+) -> (usize, usize) {
+    let inside = |(lo, hi): PhysRegion| {
+        move |x: f64, y: f64, z: f64| {
+            x >= lo[0]
+                && x < hi[0]
+                && (dim == Dim::Two || (y >= lo[1] && y < hi[1]))
+                && z >= lo[2]
+                && z < hi[2]
+        }
+    };
+    buf.partition3(inside(patch), inside(gather))
+}
+
+/// Indices of the particle phases in [`BoxTask::phase`].
+const GATHER: usize = 0;
+const PUSH: usize = 1;
+const DEPOSIT: usize = 2;
+
+/// Per-species constants of one particle advance in kernel precision `T`.
+struct SpeciesStep<T> {
+    dim: Dim,
+    order: ShapeOrder,
+    pusher: Pusher,
+    /// `q dt / 2m`, the momentum-push coefficient.
+    qmdt2: T,
+    q: T,
+    kdt: T,
+    dt: f64,
+    /// Particles per chunk ([`CHUNK`] in the step loop).
+    chunk: usize,
+}
+
+/// Wall-clock split of one box's particle advance: each lap charges the
+/// time since the previous lap to one [`GATHER`]/[`PUSH`]/[`DEPOSIT`]
+/// phase, so the phases keep their meaning while they interleave per
+/// chunk.
+struct PhaseClock<'a> {
+    mark: Instant,
+    acc: &'a mut [f64; 3],
+}
+
+impl PhaseClock<'_> {
+    fn lap(&mut self, phase: usize) {
+        let now = Instant::now();
+        self.acc[phase] += now.duration_since(self.mark).as_secs_f64();
+        self.mark = now;
+    }
+}
+
+/// The fused particle advance of one box.
+struct BoxRun<'a, T> {
+    step: &'a SpeciesStep<T>,
+    buf: &'a mut ParticleBuf,
+    sc: &'a mut ChunkScratch<T>,
+    clock: PhaseClock<'a>,
+}
+
+impl<T: KernelReal> BoxRun<'_, T> {
+    /// Advance the particles `range` chunk by chunk. Per chunk: gather
+    /// from `fields` (laid out on `fgeom`), push momenta, `vy`, save the
+    /// old positions, push positions, deposit into `j` (on `jgeom`). Per
+    /// particle the lane kernels do not depend on the blocking, and the
+    /// deposits land in ascending particle order, so the result is
+    /// bitwise the same at any chunk size.
+    fn segment(
+        &mut self,
+        range: Range<usize>,
+        fields: &EmViews<'_, T>,
+        fgeom: &Geom,
+        j: &mut JViews<'_, T>,
+        jgeom: &Geom,
+    ) {
+        let s = self.step;
+        let buf = &mut *self.buf;
+        let ChunkScratch {
+            em,
+            x0: [x0, y0, z0],
+            vy,
+            x1: [x1_s, y1_s, z1_s],
+            u: [ux_s, uy_s, uz_s],
+            w: w_s,
+        } = &mut *self.sc;
+        let mut lo = range.start;
+        while lo < range.end {
+            let r = lo..range.end.min(lo.saturating_add(s.chunk));
+            lo = r.end;
+            let len = r.len();
+            for v in em.iter_mut() {
+                v.resize(len.max(v.len()), T::ZERO);
+            }
+            vy.resize(len.max(vy.len()), T::ZERO);
+            let pos = [
+                T::operand(&buf.x[r.clone()], x0),
+                T::operand(&buf.y[r.clone()], y0),
+                T::operand(&buf.z[r.clone()], z0),
+            ];
+            gather(s.dim, s.order, pos, fgeom, fields, &mut em_out(em, len));
+            self.clock.lap(GATHER);
+            // Momentum push, then vy at the half step from the same
+            // kernel-precision momenta.
+            {
+                let ux = T::operand_mut(&mut buf.ux[r.clone()], ux_s);
+                let uy = T::operand_mut(&mut buf.uy[r.clone()], uy_s);
+                let uz = T::operand_mut(&mut buf.uz[r.clone()], uz_s);
+                let [ex, ey, ez, bx, by, bz] = &*em;
+                L::push_momentum(
+                    s.pusher,
+                    ux,
+                    uy,
+                    uz,
+                    &ex[..len],
+                    &ey[..len],
+                    &ez[..len],
+                    &bx[..len],
+                    &by[..len],
+                    &bz[..len],
+                    s.qmdt2,
+                );
+                for p in 0..len {
+                    vy[p] = uy[p] / gamma_of_u(ux[p], uy[p], uz[p]);
+                }
+            }
+            T::write_back(&mut buf.ux[r.clone()], ux_s);
+            T::write_back(&mut buf.uy[r.clone()], uy_s);
+            T::write_back(&mut buf.uz[r.clone()], uz_s);
+            // Keep the old positions for the deposit, then push them
+            // (always in f64).
+            T::save_old(&buf.x[r.clone()], x0);
+            T::save_old(&buf.y[r.clone()], y0);
+            T::save_old(&buf.z[r.clone()], z0);
+            match s.dim {
+                Dim::Three => push_position(
+                    &mut buf.x[r.clone()],
+                    &mut buf.y[r.clone()],
+                    &mut buf.z[r.clone()],
+                    &buf.ux[r.clone()],
+                    &buf.uy[r.clone()],
+                    &buf.uz[r.clone()],
+                    s.dt,
+                ),
+                Dim::Two => push_position2(
+                    &mut buf.x[r.clone()],
+                    &mut buf.z[r.clone()],
+                    &buf.ux[r.clone()],
+                    &buf.uy[r.clone()],
+                    &buf.uz[r.clone()],
+                    s.dt,
+                ),
+            }
+            let x1 = [
+                T::operand(&buf.x[r.clone()], x1_s),
+                T::operand(&buf.y[r.clone()], y1_s),
+                T::operand(&buf.z[r.clone()], z1_s),
+            ];
+            let w = T::operand(&buf.w[r], w_s);
+            self.clock.lap(PUSH);
+            deposit(
+                s.dim,
+                s.order,
+                [&x0[..], &y0[..], &z0[..]],
+                x1,
+                &vy[..len],
+                w,
+                s.q,
+                s.kdt,
+                jgeom,
+                j,
+            );
+            self.clock.lap(DEPOSIT);
+        }
+    }
 }
 
 /// Per-box fine-patch deposition buffer. Boxes deposit into their own
@@ -917,8 +1142,8 @@ impl Simulation {
         let sp = mrpic_trace::span!("particle");
         for si in 0..nspecies {
             stats.pushed += match self.precision {
-                Precision::F64 => self.advance_species::<f64>(si, dt),
-                Precision::F32Particles => self.advance_species::<f32>(si, dt),
+                Precision::F64 => self.advance_species::<f64>(si, dt, CHUNK),
+                Precision::F32Particles => self.advance_species::<f32>(si, dt, CHUNK),
             };
         }
         drop(sp);
@@ -1290,18 +1515,25 @@ impl Simulation {
     /// [`Precision::F32Particles`]); [`KernelReal`] holds the only
     /// per-precision code. Every (box, particle-buffer) pair is an
     /// independent work item with disjoint `&mut` views of the parent
-    /// currents. Fine-patch deposition goes to per-box buffers reduced
+    /// currents. Within a box the whole advance runs on one chunk of at
+    /// most `chunk` particles at a time ([`BoxRun::segment`]), over three
+    /// contiguous segments with a fixed gather source and deposit
+    /// target each. Fine-patch deposition goes to per-box buffers reduced
     /// in ascending box order afterwards, and the per-box cost timers
     /// live on the work items, so the physics *and* the accounting are
     /// bitwise independent of the thread count.
-    fn advance_species<T: KernelReal>(&mut self, si: usize, dt: f64) -> usize {
-        let dim = self.dim;
-        let order = self.order;
-        let sp_charge = self.species[si].charge;
-        let sp_mass = self.species[si].mass;
-        let pusher = self.species[si].pusher;
-        let qmdt2 = T::from_f64(sp_charge * dt / (2.0 * sp_mass));
-        let (q, kdt) = (T::from_f64(sp_charge), T::from_f64(dt));
+    fn advance_species<T: KernelReal>(&mut self, si: usize, dt: f64, chunk: usize) -> usize {
+        let sp = &self.species[si];
+        let step = SpeciesStep {
+            dim: self.dim,
+            order: self.order,
+            pusher: sp.pusher,
+            qmdt2: T::from_f64(sp.charge * dt / (2.0 * sp.mass)),
+            q: T::from_f64(sp.charge),
+            kdt: T::from_f64(dt),
+            dt,
+            chunk,
+        };
         let geom = self.fs.geom.kernel_geom();
         // MR routing regions in physical coordinates.
         let mr_regions = self
@@ -1353,205 +1585,112 @@ impl Simulation {
             || ScratchGuard::checkout(pool),
             |guard, task| {
                 let _box_span = mrpic_trace::span!("box", -1, task.bi);
-                let gather_span = mrpic_trace::span!("gather", -1, task.bi);
-                let t0 = std::time::Instant::now();
+                let t0 = Instant::now();
                 let Scratch {
-                    em,
-                    x0,
-                    vy,
-                    x1,
-                    u,
-                    w,
+                    chunk: sc,
                     fld,
                     j: tiles,
                 } = &mut guard.sc;
                 let n = task.buf.len();
-                // Partition for MR routing: [aux-gather | transition | outside].
-                let (c_aux, c_fine) = match &mr_regions {
-                    Some(((plo, phi), (glo, ghi))) => {
-                        let (plo, phi, glo, ghi) = (*plo, *phi, *glo, *ghi);
-                        let in_patch = move |x: f64, y: f64, z: f64| {
-                            x >= plo[0]
-                                && x < phi[0]
-                                && (dim == Dim::Two || (y >= plo[1] && y < phi[1]))
-                                && z >= plo[2]
-                                && z < phi[2]
-                        };
-                        let in_gather = move |x: f64, y: f64, z: f64| {
-                            x >= glo[0]
-                                && x < ghi[0]
-                                && (dim == Dim::Two || (y >= glo[1] && y < ghi[1]))
-                                && z >= glo[2]
-                                && z < ghi[2]
-                        };
-                        task.buf.partition3(in_patch, in_gather)
-                    }
+                let (c_aux, c_fine) = match mr_regions {
+                    Some((patch, gather)) => mr_partition(task.buf, step.dim, patch, gather),
                     None => (0, 0),
                 };
-                let buf = &mut *task.buf;
-                for v in em.iter_mut() {
-                    v.resize(n.max(v.len()), T::ZERO);
-                }
-                vy.resize(n.max(vy.len()), T::ZERO);
-                // Gather: [0..c_aux) from the MR aux grid, rest from parent.
-                let [x0, y0, z0] = x0;
-                let pos = [
-                    T::operand(&buf.x, x0),
-                    T::operand(&buf.y, y0),
-                    T::operand(&buf.z, z0),
-                ];
-                if c_aux > 0 {
+                let mut run = BoxRun {
+                    step: &step,
+                    buf: &mut *task.buf,
+                    sc,
+                    clock: PhaseClock {
+                        mark: t0,
+                        acc: &mut *task.phase,
+                    },
+                };
+                run.clock.lap(GATHER);
+                let bi = task.bi;
+                let parent = EmViews {
+                    ex: fab_view(&e[0], bi),
+                    ey: fab_view(&e[1], bi),
+                    ez: fab_view(&e[2], bi),
+                    bx: fab_view(&b[0], bi),
+                    by: fab_view(&b[1], bi),
+                    bz: fab_view(&b[2], bi),
+                };
+                // [0, c_fine) deposits to the per-box fine buffer (reduced
+                // in box order after the loop), the rest to this box's J
+                // fabs.
+                let mut fine = (c_fine > 0).then(|| {
                     let mr = mr.expect("partitioned => MR present");
-                    gather(
-                        dim,
-                        order,
-                        pos.map(|p| &p[..c_aux]),
-                        &mr.aux.geom.kernel_geom(),
-                        &T::fields(mr.aux.em_views(0), fld),
-                        &mut em_out(em, 0, c_aux),
-                    );
-                }
-                if c_aux < n {
-                    let bi = task.bi;
-                    let views = EmViews {
-                        ex: fab_view(&e[0], bi),
-                        ey: fab_view(&e[1], bi),
-                        ez: fab_view(&e[2], bi),
-                        bx: fab_view(&b[0], bi),
-                        by: fab_view(&b[1], bi),
-                        bz: fab_view(&b[2], bi),
-                    };
-                    gather(
-                        dim,
-                        order,
-                        pos.map(|p| &p[c_aux..n]),
-                        &geom,
-                        &T::fields(views, fld),
-                        &mut em_out(em, c_aux, n),
-                    );
-                }
-                drop(gather_span);
-                let push_span = mrpic_trace::span!("push", -1, task.bi);
-                let t_push = std::time::Instant::now();
-                task.phase[0] += t_push.duration_since(t0).as_secs_f64();
-                // Momentum push, then vy at the half step from the same
-                // kernel-precision momenta.
-                let [ux_s, uy_s, uz_s] = u;
-                {
-                    let ux = T::operand_mut(&mut buf.ux, ux_s);
-                    let uy = T::operand_mut(&mut buf.uy, uy_s);
-                    let uz = T::operand_mut(&mut buf.uz, uz_s);
-                    let [ex, ey, ez, bx, by, bz] = &*em;
-                    L::push_momentum(
-                        pusher,
-                        ux,
-                        uy,
-                        uz,
-                        &ex[..n],
-                        &ey[..n],
-                        &ez[..n],
-                        &bx[..n],
-                        &by[..n],
-                        &bz[..n],
-                        qmdt2,
-                    );
-                    for p in 0..n {
-                        vy[p] = uy[p] / gamma_of_u(ux[p], uy[p], uz[p]);
-                    }
-                }
-                T::write_back(&mut buf.ux, ux_s);
-                T::write_back(&mut buf.uy, uy_s);
-                T::write_back(&mut buf.uz, uz_s);
-                // Keep the old positions for the deposit, then push them
-                // (always in f64).
-                T::save_old(&buf.x, x0);
-                T::save_old(&buf.y, y0);
-                T::save_old(&buf.z, z0);
-                match dim {
-                    Dim::Three => push_position(
-                        &mut buf.x[..n],
-                        &mut buf.y[..n],
-                        &mut buf.z[..n],
-                        &buf.ux[..n],
-                        &buf.uy[..n],
-                        &buf.uz[..n],
-                        dt,
-                    ),
-                    Dim::Two => push_position2(
-                        &mut buf.x[..n],
-                        &mut buf.z[..n],
-                        &buf.ux[..n],
-                        &buf.uy[..n],
-                        &buf.uz[..n],
-                        dt,
-                    ),
-                }
-                let [x1_s, y1_s, z1_s] = x1;
-                let (x1, y1, z1) = (
-                    T::operand(&buf.x, x1_s),
-                    T::operand(&buf.y, y1_s),
-                    T::operand(&buf.z, z1_s),
-                );
-                let w = T::operand(&buf.w, w);
-                drop(push_span);
-                let deposit_span = mrpic_trace::span!("deposit", -1, task.bi);
-                let t_dep = std::time::Instant::now();
-                task.phase[1] += t_dep.duration_since(t_push).as_secs_f64();
-                let deposit_range =
-                    |r: std::ops::Range<usize>, kg: &Geom, jv: &mut JViews<'_, T>| {
-                        deposit(
-                            dim,
-                            order,
-                            [&x0[r.clone()], &y0[r.clone()], &z0[r.clone()]],
-                            [&x1[r.clone()], &y1[r.clone()], &z1[r.clone()]],
-                            &vy[r.clone()],
-                            &w[r],
-                            q,
-                            kdt,
-                            kg,
-                            jv,
-                        )
-                    };
-                // Deposit: [0..c_fine) to the per-box fine buffer (reduced
-                // in box order after the loop), rest to this box's J fabs.
-                if c_fine > 0 {
-                    let mr = mr.expect("partitioned => MR present");
-                    let fine_geom = mr.fine.geom.kernel_geom();
                     task.fine_j.used = true;
                     let fine_fabs = [
                         mr.fine.j[0].fab(0),
                         mr.fine.j[1].fab(0),
                         mr.fine.j[2].fab(0),
                     ];
-                    for (c, fab) in fine_fabs.iter().enumerate() {
-                        let len = fab.comp(0).len();
-                        task.fine_j.j[c].resize(len, 0.0);
-                        task.fine_j.j[c].fill(0.0);
+                    for (buf, fab) in task.fine_j.j.iter_mut().zip(fine_fabs) {
+                        buf.clear();
+                        buf.resize(fab.comp(0).len(), 0.0);
                     }
                     let [fjx, fjy, fjz] = &mut task.fine_j.j;
-                    T::deposit_into(
+                    let target = T::target(
                         [
                             view_over(fine_fabs[0], fjx),
                             view_over(fine_fabs[1], fjy),
                             view_over(fine_fabs[2], fjz),
                         ],
                         tiles,
-                        |jv| deposit_range(0..c_fine, &fine_geom, jv),
+                    );
+                    (target, mr.fine.geom.kernel_geom())
+                });
+                run.clock.lap(DEPOSIT);
+                // [0, c_aux) gathers from the MR aux grid.
+                if c_aux > 0 {
+                    let mr = mr.expect("partitioned => MR present");
+                    let (target, fine_geom) = fine.as_mut().expect("c_aux <= c_fine");
+                    run.segment(
+                        0..c_aux,
+                        &T::fields(mr.aux.em_views(0), fld),
+                        &mr.aux.geom.kernel_geom(),
+                        &mut target.views,
+                        fine_geom,
                     );
                 }
+                // [c_aux, n) gathers from the parent.
+                let parent = (c_aux < n).then(|| T::fields(parent, fld));
+                run.clock.lap(GATHER);
+                if c_aux < c_fine {
+                    let (target, fine_geom) = fine.as_mut().expect("c_fine > 0");
+                    run.segment(
+                        c_aux..c_fine,
+                        parent.as_ref().expect("c_aux < n"),
+                        &geom,
+                        &mut target.views,
+                        fine_geom,
+                    );
+                }
+                if let Some((target, _)) = fine {
+                    target.finish();
+                    run.clock.lap(DEPOSIT);
+                }
                 if c_fine < n {
-                    T::deposit_into(
+                    let mut target = T::target(
                         [
                             view_of_fab_mut(task.jx),
                             view_of_fab_mut(task.jy),
                             view_of_fab_mut(task.jz),
                         ],
                         tiles,
-                        |jv| deposit_range(c_fine..n, &geom, jv),
                     );
+                    run.clock.lap(DEPOSIT);
+                    run.segment(
+                        c_fine..n,
+                        parent.as_ref().expect("c_aux <= c_fine < n"),
+                        &geom,
+                        &mut target.views,
+                        &geom,
+                    );
+                    target.finish();
+                    run.clock.lap(DEPOSIT);
                 }
-                drop(deposit_span);
-                task.phase[2] += t_dep.elapsed().as_secs_f64();
                 let box_ns = t0.elapsed().as_nanos() as u64;
                 *task.seconds += box_ns as f64 * 1e-9;
                 if mrpic_trace::enabled() {
@@ -1955,5 +2094,129 @@ mod tests {
         assert!(st.particle_seconds > 0.0);
         assert!(st.field_seconds > 0.0);
         assert_eq!(sim.istep, 1);
+    }
+
+    /// Thermal periodic plasma, 3 particles per cell, in `max_box` boxes.
+    fn thermal_deck(cells: IntVect, max_box: IntVect, precision: Precision) -> Simulation {
+        SimulationBuilder::new(Dim::Two)
+            .domain(cells, [0.5e-6; 3], [0.0; 3])
+            .periodic([true, true, true])
+            .max_box(max_box)
+            .order(ShapeOrder::Quadratic)
+            .cfl(0.5)
+            .seed(9)
+            .precision(precision)
+            .add_species(
+                Species::electrons("e", Profile::Uniform { n0: 2.0e24 }, [1, 1, 3])
+                    .with_thermal([1.0e7; 3]),
+            )
+            .build()
+    }
+
+    /// Every particle vector of both scratch pools.
+    fn pooled_particle_vec_capacities(sim: &Simulation) -> Vec<usize> {
+        fn caps<T>(pool: &Mutex<Vec<Scratch<T>>>, out: &mut Vec<usize>) {
+            for sc in pool.lock().unwrap().iter() {
+                let ChunkScratch {
+                    em,
+                    x0,
+                    vy,
+                    x1,
+                    u,
+                    w,
+                } = &sc.chunk;
+                let vecs = em.iter().chain(x0).chain(x1).chain(u).chain([vy, w]);
+                out.extend(vecs.map(Vec::capacity));
+            }
+        }
+        let mut out = Vec::new();
+        caps(&sim.scratch.f64, &mut out);
+        caps(&sim.scratch.f32, &mut out);
+        out
+    }
+
+    /// The fused advance is bitwise independent of the chunk size: one
+    /// whole-box chunk, [`CHUNK`], and an odd 37 that puts seams inside
+    /// lane blocks. The `f64` deck's box holds > 3·CHUNK particles under
+    /// an MR patch whose pivots are not multiples of the lane width, so
+    /// every segment ends in a scalar tail at every chunk size; the
+    /// `f32` deck (MR is `f64`-only) folds its per-box current tile
+    /// after chunks of every size.
+    #[test]
+    fn advance_is_bitwise_independent_of_chunk_size() {
+        let cells = IntVect::new(64, 1, 64);
+        let advanced = |precision: Precision, chunk: usize| {
+            let mut sim = thermal_deck(cells, cells, precision);
+            if precision == Precision::F64 {
+                sim.add_mr_patch(MrConfig {
+                    patch: IndexBox::new(IntVect::new(16, 0, 16), IntVect::new(45, 1, 43)),
+                    rr: 2,
+                    n_transition: 2,
+                    npml: 6,
+                    subcycle: false,
+                });
+            }
+            // Two full steps leave nonzero fields on every grid.
+            sim.run(2);
+            sim.fs.zero_j();
+            let n = sim.parts[0].bufs[0].len();
+            assert!(n > 3 * CHUNK, "{n} particles");
+            if let Some(mr) = &mut sim.mr {
+                mr.zero_j();
+                let (patch, gather) = (mr.patch_phys(&sim.fs.geom), mr.gather_phys(&sim.fs.geom));
+                let (c_aux, c_fine) =
+                    mr_partition(&mut sim.parts[0].bufs[0], Dim::Two, patch, gather);
+                assert!(0 < c_aux && c_aux < c_fine && c_fine < n);
+                assert!(c_aux % DEFAULT_LANE_WIDTH != 0 && c_fine % DEFAULT_LANE_WIDTH != 0);
+            }
+            let dt = sim.dt;
+            match precision {
+                Precision::F64 => sim.advance_species::<f64>(0, dt, chunk),
+                Precision::F32Particles => sim.advance_species::<f32>(0, dt, chunk),
+            };
+            sim
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Particle arrays, then parent J, then fine J.
+        let state = |sim: &Simulation| {
+            let b = &sim.parts[0].bufs[0];
+            let mut s: Vec<Vec<u64>> = [&b.x, &b.y, &b.z, &b.ux, &b.uy, &b.uz, &b.w]
+                .map(|v| bits(v))
+                .into();
+            s.extend((0..3).map(|c| bits(sim.fs.j[c].fab(0).raw())));
+            if let Some(mr) = &sim.mr {
+                s.extend((0..3).map(|c| bits(mr.fine.j[c].fab(0).raw())));
+            }
+            s
+        };
+        for precision in [Precision::F64, Precision::F32Particles] {
+            let whole = state(&advanced(precision, usize::MAX));
+            assert!(whole[7..].iter().all(|j| j.iter().any(|&x| x != 0)));
+            for chunk in [CHUNK, 37] {
+                assert!(
+                    state(&advanced(precision, chunk)) == whole,
+                    "{precision:?}: chunk {chunk} moved bits"
+                );
+            }
+        }
+    }
+
+    /// The per-thread scratch holds one chunk, not one box: after steps
+    /// of decks with > 4·CHUNK particles per box, no pooled particle
+    /// vector has grown past [`CHUNK`].
+    #[test]
+    fn scratch_particle_vectors_stay_chunk_sized() {
+        for precision in [Precision::F64, Precision::F32Particles] {
+            let cells = IntVect::new(64, 1, 64);
+            let mut sim = thermal_deck(cells, IntVect::new(64, 1, 32), precision);
+            assert!(sim.parts[0].bufs.iter().all(|b| b.len() > 4 * CHUNK));
+            sim.run(2);
+            let caps = pooled_particle_vec_capacities(&sim);
+            assert!(!caps.is_empty(), "{precision:?}: no scratch was pooled");
+            assert!(
+                caps.iter().all(|&c| c <= CHUNK),
+                "{precision:?}: scratch capacities {caps:?}"
+            );
+        }
     }
 }

@@ -91,9 +91,6 @@ fn traced_two_rank_run_produces_a_well_formed_trace() {
         "sort",
         "particle",
         "box",
-        "gather",
-        "push",
-        "deposit",
         "sum",
         "maxwell",
         "mr",
