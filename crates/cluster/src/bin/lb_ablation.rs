@@ -65,9 +65,14 @@ fn trace_mode(backend: &str, net: Network) {
         .add_laser(antenna_for_a0(1.5, 0.8e-6, 6.0e-15, 1.0e-6, 1.2e-6, 1.5e-6))
         .build();
     let (mut d, rec) = DistSim::recording(sim, NRANKS);
-    d.run(STEPS / 2);
-    d.force_rebalance(); // include one adopted box migration in the trace
-    d.run(STEPS - STEPS / 2);
+    let run = d.run(STEPS / 2).and_then(|()| {
+        d.force_rebalance(); // include one adopted box migration in the trace
+        d.run(STEPS - STEPS / 2)
+    });
+    if let Err(e) = run {
+        eprintln!("trace run failed: {e}");
+        std::process::exit(e.exit().code());
+    }
     let msgs = rec.messages();
     let mut per_phase: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
     for m in &msgs {

@@ -617,7 +617,6 @@ impl RunConfig {
         sim.telemetry.cfg.probe_interval = self.probe_interval;
         sim.telemetry.cfg.sentinel_interval = self.sentinel_interval;
         sim.telemetry.cfg.rotate_bytes = self.telemetry_rotate_bytes;
-        let mut removals = Vec::new();
         for mp in &self.mr_patches {
             sim.add_mr_patch(MrConfig {
                 patch: IndexBox::new(mp.lo.into(), mp.hi.into()),
@@ -626,9 +625,16 @@ impl RunConfig {
                 npml: mp.npml,
                 subcycle: mp.subcycle,
             });
-            removals.push(mp.remove_at.unwrap_or(f64::INFINITY));
         }
-        Ok((sim, removals))
+        Ok((sim, self.removal_times()))
+    }
+
+    /// MR patch removal times, one per patch (`INFINITY`: never).
+    pub fn removal_times(&self) -> Vec<f64> {
+        self.mr_patches
+            .iter()
+            .map(|mp| mp.remove_at.unwrap_or(f64::INFINITY))
+            .collect()
     }
 }
 

@@ -15,7 +15,9 @@
 //! * a laser antenna with oblique incidence ([`laser`]),
 //! * reduced diagnostics: beam charge, spectra, field slices ([`diag`]),
 //! * extensions: boosted-frame transforms ([`boost`]), particle
-//!   splitting/merging ([`resample`]), checkpointing ([`checkpoint`]).
+//!   splitting/merging ([`resample`]), checkpointing ([`checkpoint`]),
+//! * the run loop every driver shares, with the process exit contract
+//!   ([`run`]).
 
 // Stencil and particle loops index several parallel arrays by the same
 // counter; iterator zips would obscure the numerics. Silence the style
@@ -34,6 +36,7 @@ pub mod mr;
 pub mod particles;
 pub mod profile;
 pub mod resample;
+pub mod run;
 pub mod sim;
 pub mod species;
 pub mod spectral;

@@ -34,8 +34,8 @@ pub use faults::{
 pub use frame::{FrameError, FrameHeader, FrameKind, FRAME_MAGIC, PROTO_VERSION};
 pub use obswire::{spawn_metrics_listener, MetricsPusher, METRICS_SOCK_FILE};
 pub use sim::{
-    boxed, parse_elastic_plan, DistSim, ElasticAction, ElasticEvent, RecoveryEvent, ResizeEvent,
-    TransportKind,
+    boxed, elastic_peak, parse_elastic_plan, DistSim, ElasticAction, ElasticEvent, RecoveryEvent,
+    ResizeEvent, StepError, TransportKind,
 };
 pub use socket::{proc_transport, socket_mesh, MeshCfg, ProcEndpoint, SocketEndpoint, WireKind};
 pub use transport::{

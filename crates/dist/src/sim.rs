@@ -29,6 +29,14 @@
 //! resumes. Rank-count independence of `step()` makes the continued run
 //! bitwise identical to an uninterrupted run at the final rank count.
 
+//! **Errors are values.** A loss the driver cannot survive (no fault
+//! plan, no epoch, no survivor), a failed epoch restore, a mesh that
+//! cannot be rebuilt, or an elastic event that would shrink below one
+//! rank comes back from [`DistSim::step`] as a [`StepError`], which maps
+//! onto the process exit contract ([`Exit`]). Resizes, recoveries and the
+//! error that stops a run are pushed to the process flight recorder at
+//! the point they happen, whichever binary drives the sim.
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -40,7 +48,76 @@ use crate::transport::{
 };
 use mrpic_amr::{DistributionMapping, Strategy};
 use mrpic_core::checkpoint::Checkpoint;
+use mrpic_core::run::{Exit, Stepper};
 use mrpic_core::sim::{Simulation, StepStats};
+use mrpic_obs::{dump_recorder, with_recorder, FlightEvent};
+
+/// Why [`DistSim::step`] (or [`DistSim::resize`]) could not complete.
+#[derive(Debug)]
+pub enum StepError {
+    /// A rank was lost and the run cannot recover: it has no fault plan
+    /// (so no checkpoint epochs), or no rank would survive.
+    RankLoss(RankLoss),
+    /// A rank was lost before the first checkpoint epoch was captured.
+    NoEpoch(RankLoss),
+    /// Restoring the checkpoint epoch failed during recovery.
+    Restore(String),
+    /// Rebuilding or rejoining the socket mesh at a new generation failed.
+    Mesh {
+        generation: u32,
+        error: std::io::Error,
+    },
+    /// The elastic event `shrink:step:by` would leave `ranks` ranks with
+    /// fewer than one.
+    OverShrink { step: u64, ranks: usize, by: usize },
+}
+
+impl StepError {
+    /// Where this error lands in the exit contract: a bad elastic plan is
+    /// a usage error, everything else a transport loss.
+    pub fn exit(&self) -> Exit {
+        match self {
+            StepError::OverShrink { .. } => Exit::Usage,
+            _ => Exit::TransportLoss,
+        }
+    }
+}
+
+impl From<StepError> for Exit {
+    fn from(e: StepError) -> Self {
+        e.exit()
+    }
+}
+
+impl std::fmt::Display for StepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StepError::RankLoss(l) => write!(
+                f,
+                "unrecoverable rank loss: rank {} in the {:?} phase of step {}: {}",
+                l.dead_rank, l.phase, l.step, l.error
+            ),
+            StepError::NoEpoch(l) => write!(
+                f,
+                "rank {} lost at step {} before the first checkpoint epoch: {}",
+                l.dead_rank, l.step, l.error
+            ),
+            StepError::Restore(e) => write!(f, "epoch restore failed during recovery: {e}"),
+            StepError::Mesh { generation, error } => {
+                write!(
+                    f,
+                    "rebuilding the socket mesh (generation {generation}): {error}"
+                )
+            }
+            StepError::OverShrink { step, ranks, by } => write!(
+                f,
+                "elastic event shrink:{step}:{by} would shrink {ranks} rank(s) below one"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StepError {}
 
 /// One completed crash recovery, for diagnostics and tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,8 +143,9 @@ pub enum TransportKind {
     /// endpoint sets handed to [`DistSim::new`] directly: a resize of
     /// such a sim rebuilds as the in-process mesh.
     Mem,
-    /// Fault-injected in-process mesh driven by the sim's `fault_plan`.
-    Faulty,
+    /// Fault-injected in-process mesh driven by this plan; also the
+    /// recovery plan of the run.
+    Faulty(FaultPlan),
     /// In-process mesh whose every pair is a real socket connection.
     Socket(MeshCfg),
     /// Process mode: this OS process owns `my_rank`; edges touching it
@@ -121,6 +199,34 @@ pub fn parse_elastic_plan(spec: &str) -> Result<Vec<ElasticEvent>, String> {
     Ok(out)
 }
 
+impl ElasticEvent {
+    /// The rank count after this event fires on `ranks` ranks.
+    fn apply(self, ranks: usize) -> Result<usize, StepError> {
+        match self.action {
+            ElasticAction::Grow(k) => Ok(ranks + k),
+            ElasticAction::Shrink(k) if k < ranks => Ok(ranks - k),
+            ElasticAction::Shrink(by) => Err(StepError::OverShrink {
+                step: self.step,
+                ranks,
+                by,
+            }),
+        }
+    }
+}
+
+/// Walk a step-sorted elastic plan from `start` ranks: the largest rank
+/// count it reaches (how many workers a process mesh must spawn), or the
+/// first event that would shrink below one rank.
+pub fn elastic_peak(start: usize, events: &[ElasticEvent]) -> Result<usize, StepError> {
+    let mut ranks = start;
+    let mut peak = start;
+    for ev in events {
+        ranks = ev.apply(ranks)?;
+        peak = peak.max(ranks);
+    }
+    Ok(peak)
+}
+
 /// One completed elastic resize, for diagnostics and tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResizeEvent {
@@ -138,8 +244,6 @@ pub struct DistSim {
     kind: TransportKind,
     /// Recorder every rebuilt endpoint set is re-wrapped with.
     recorder: Option<Arc<Recorder>>,
-    /// Fault plan of the active transport (None: plain transport).
-    fault_plan: Option<FaultPlan>,
     injector: Option<Arc<FaultInjector>>,
     /// Steps between full-state checkpoint epochs (chaos runs only).
     epoch_interval: u64,
@@ -179,7 +283,6 @@ impl DistSim {
             comm,
             kind: TransportKind::Mem,
             recorder: None,
-            fault_plan: None,
             injector: None,
             epoch_interval: 10,
             epoch: None,
@@ -255,10 +358,17 @@ impl DistSim {
         let (eps, inj) = faulty_mem_transport(nranks, plan.clone());
         let mut ds = Self::new(sim, boxed(eps));
         ds.comm.attach_injector(Arc::clone(&inj));
-        ds.kind = TransportKind::Faulty;
-        ds.fault_plan = Some(plan);
+        ds.kind = TransportKind::Faulty(plan);
         ds.injector = Some(inj);
         ds
+    }
+
+    /// The recovery plan: only fault-injected runs capture epochs.
+    fn fault_plan(&self) -> Option<&FaultPlan> {
+        match &self.kind {
+            TransportKind::Faulty(plan) => Some(plan),
+            _ => None,
+        }
     }
 
     pub fn nranks(&self) -> usize {
@@ -285,20 +395,20 @@ impl DistSim {
     /// simulation outside the step loop (e.g. removing an MR patch), so
     /// a later rollback restores into a structurally identical target.
     pub fn refresh_epoch(&mut self) {
-        if self.fault_plan.is_some() {
+        if self.fault_plan().is_some() {
             self.epoch = Some(Checkpoint::capture(&self.sim));
         }
     }
 
     /// Install a planned elastic schedule; each event fires once, at
-    /// the start of its step. Events must be sorted (use
-    /// [`parse_elastic_plan`]).
-    pub fn set_elastic_plan(&mut self, events: Vec<ElasticEvent>) {
-        assert!(
-            events.windows(2).all(|w| w[0].step <= w[1].step),
-            "elastic plan must be sorted by step"
-        );
+    /// the start of its step. The plan is walked once from the current
+    /// rank count, so an event that would shrink below one rank is
+    /// refused here, before any step runs.
+    pub fn set_elastic_plan(&mut self, mut events: Vec<ElasticEvent>) -> Result<(), StepError> {
+        events.sort_by_key(|e| e.step);
+        elastic_peak(self.nranks(), &events)?;
         self.elastic = events.into();
+        Ok(())
     }
 
     /// Resize the mesh to `target` ranks right now (between steps): the
@@ -307,62 +417,78 @@ impl DistSim {
     /// get a fresh generation), and full plan invalidation. The
     /// continued run is bitwise identical to an uninterrupted run at
     /// `target` ranks.
-    pub fn resize(&mut self, target: usize) {
-        assert!(target >= 1, "cannot shrink below one rank");
+    pub fn resize(&mut self, target: usize) -> Result<(), StepError> {
         let from = self.nranks();
+        if target == 0 {
+            return Err(StepError::OverShrink {
+                step: self.sim.istep,
+                ranks: from,
+                by: from,
+            });
+        }
         if target == from {
-            return;
+            return Ok(());
         }
         // The barrier: the step boundary is already quiesced (no frames
         // in flight), and the captured epoch pins the rollback target
         // should a rank crash inside the resize window.
         self.epoch = Some(Checkpoint::capture(&self.sim));
+        match &mut self.kind {
+            TransportKind::Socket(mesh) | TransportKind::Proc { mesh, .. } => {
+                mesh.nranks = target;
+                mesh.generation += 1;
+            }
+            TransportKind::Mem | TransportKind::Faulty(_) => {}
+        }
+        self.rebuild_comm(target)?;
+        self.resize_log.push(ResizeEvent {
+            step: self.sim.istep,
+            from,
+            to: target,
+        });
+        with_recorder(|r| {
+            r.push(FlightEvent::Resize {
+                step: self.sim.istep,
+                from,
+                to: target,
+            })
+        });
+        Ok(())
+    }
+
+    /// Move the run onto a fresh `nranks`-rank transport built per the
+    /// transport kind: a cost-seeded SFC mapping over the new rank set,
+    /// the LB policy retargeted, and every cached exchange plan (each
+    /// partitioned for the old mesh) invalidated.
+    fn rebuild_comm(&mut self, nranks: usize) -> Result<(), StepError> {
+        let (eps, inj) = self.build_endpoints(nranks)?;
         let dm = DistributionMapping::build(
             self.sim.fs.boxarray(),
-            target,
+            nranks,
             Strategy::SpaceFillingCurve,
             self.sim.cost.costs(),
         );
         self.sim.dm = dm.clone();
         if let Some(policy) = &mut self.sim.lb {
-            policy.set_nranks(target);
+            policy.set_nranks(nranks);
         }
-        match &mut self.kind {
-            TransportKind::Socket(cfg) => {
-                cfg.nranks = target;
-                cfg.generation += 1;
-            }
-            TransportKind::Proc { mesh, .. } => {
-                mesh.nranks = target;
-                mesh.generation += 1;
-            }
-            TransportKind::Mem | TransportKind::Faulty => {}
-        }
-        let (eps, inj) =
-            Self::build_endpoints(&self.kind, target, &self.fault_plan, &self.recorder);
         let mut comm = DistComm::new(eps, dm);
         if let Some(inj) = &inj {
             comm.attach_injector(Arc::clone(inj));
         }
         self.comm = comm;
         self.injector = inj;
-        // Every cached exchange plan was partitioned for the old mesh.
         self.sim.invalidate_all_plans();
-        self.resize_log.push(ResizeEvent {
-            step: self.sim.istep,
-            from,
-            to: target,
-        });
+        Ok(())
     }
 
     /// Build a fresh endpoint set per the transport kind, re-wrapping
     /// with the recorder when one is attached.
+    #[allow(clippy::type_complexity)]
     fn build_endpoints(
-        kind: &TransportKind,
+        &self,
         nranks: usize,
-        fault_plan: &Option<FaultPlan>,
-        recorder: &Option<Arc<Recorder>>,
-    ) -> (Vec<Box<dyn Endpoint>>, Option<Arc<FaultInjector>>) {
+    ) -> Result<(Vec<Box<dyn Endpoint>>, Option<Arc<FaultInjector>>), StepError> {
         fn finish<E: Endpoint + 'static>(
             eps: Vec<E>,
             recorder: &Option<Arc<Recorder>>,
@@ -377,140 +503,126 @@ impl DistSim {
                 None => boxed(eps),
             }
         }
-        match kind {
-            TransportKind::Mem => (finish(mem_transport(nranks), recorder), None),
-            TransportKind::Faulty => {
-                let plan = fault_plan.clone().expect("faulty transport without a plan");
-                let (eps, inj) = faulty_mem_transport(nranks, plan);
-                (finish(eps, recorder), Some(inj))
+        let rec = &self.recorder;
+        let mesh_err = |mesh: &MeshCfg, error| StepError::Mesh {
+            generation: mesh.generation,
+            error,
+        };
+        Ok(match &self.kind {
+            TransportKind::Mem => (finish(mem_transport(nranks), rec), None),
+            TransportKind::Faulty(plan) => {
+                let (eps, inj) = faulty_mem_transport(nranks, plan.clone());
+                (finish(eps, rec), Some(inj))
             }
-            TransportKind::Socket(cfg) => {
-                let eps = socket_mesh(cfg).unwrap_or_else(|e| {
-                    panic!(
-                        "rebuilding socket mesh (generation {}): {e}",
-                        cfg.generation
-                    )
-                });
-                (finish(eps, recorder), None)
+            TransportKind::Socket(mesh) => {
+                let eps = socket_mesh(mesh).map_err(|e| mesh_err(mesh, e))?;
+                (finish(eps, rec), None)
+            }
+            // Shrunk out of (or not yet grown into) the mesh: keep
+            // stepping as a local spectator replica.
+            TransportKind::Proc { mesh, my_rank } if *my_rank >= mesh.nranks => {
+                (finish(mem_transport(mesh.nranks), rec), None)
             }
             TransportKind::Proc { mesh, my_rank } => {
-                let eps = if *my_rank < mesh.nranks {
-                    finish(
-                        proc_transport(mesh, *my_rank).unwrap_or_else(|e| {
-                            panic!(
-                                "rank {} rejoining mesh generation {}: {e}",
-                                my_rank, mesh.generation
-                            )
-                        }),
-                        recorder,
-                    )
-                } else {
-                    // Shrunk out of (or not yet grown into) the mesh:
-                    // keep stepping as a local spectator replica.
-                    finish(mem_transport(mesh.nranks), recorder)
-                };
-                (eps, None)
+                let eps = proc_transport(mesh, *my_rank).map_err(|e| mesh_err(mesh, e))?;
+                (finish(eps, rec), None)
             }
-        }
+        })
     }
 
     /// Advance one step through the distributed backend, recovering from
-    /// an injected rank crash if one surfaces.
-    pub fn step(&mut self) -> StepStats {
-        while self
-            .elastic
-            .front()
-            .is_some_and(|e| e.step <= self.sim.istep)
-        {
-            let ev = self.elastic.pop_front().unwrap();
-            let cur = self.nranks();
-            let target = match ev.action {
-                ElasticAction::Grow(k) => cur + k,
-                ElasticAction::Shrink(k) => {
-                    assert!(k < cur, "elastic shrink below one rank");
-                    cur - k
-                }
-            };
-            self.resize(target);
+    /// an injected rank crash if one surfaces. An error ends the run; it
+    /// is also pushed to the flight recorder.
+    pub fn step(&mut self) -> Result<StepStats, StepError> {
+        let step = self.sim.istep;
+        let out = self.try_step();
+        if let Err(e) = &out {
+            with_recorder(|r| {
+                r.push(FlightEvent::TransportError {
+                    step,
+                    detail: e.to_string(),
+                })
+            });
         }
-        if self.fault_plan.is_some() && self.sim.istep.is_multiple_of(self.epoch_interval) {
-            self.epoch = Some(Checkpoint::capture(&self.sim));
-        }
-        let stats = self.sim.step_with(&mut self.comm);
-        if let Some(loss) = self.comm.take_loss() {
-            return self.recover(loss);
-        }
-        stats
+        out
     }
 
     /// Advance `n` steps.
-    pub fn run(&mut self, n: usize) {
+    pub fn run(&mut self, n: usize) -> Result<(), StepError> {
         for _ in 0..n {
-            self.step();
+            self.step()?;
+        }
+        Ok(())
+    }
+
+    fn try_step(&mut self) -> Result<StepStats, StepError> {
+        while let Some(ev) = self.elastic.front().copied() {
+            if ev.step > self.sim.istep {
+                break;
+            }
+            self.elastic.pop_front();
+            self.resize(ev.apply(self.nranks())?)?;
+        }
+        if self.fault_plan().is_some() && self.sim.istep.is_multiple_of(self.epoch_interval) {
+            self.epoch = Some(Checkpoint::capture(&self.sim));
+        }
+        let stats = self.sim.step_with(&mut self.comm);
+        match self.comm.take_loss() {
+            Some(loss) => self.recover(loss),
+            None => Ok(stats),
         }
     }
 
     /// Survive `loss`: roll back to the last checkpoint epoch, shrink
     /// the rank set, and replay. The drained step left finite-but-stale
     /// state behind; the restore discards all of it.
-    fn recover(&mut self, loss: RankLoss) -> StepStats {
-        let plan = self
-            .fault_plan
-            .as_ref()
-            .unwrap_or_else(|| panic!("unrecoverable transport failure: {}", loss.error));
-        let epoch = self
-            .epoch
-            .take()
-            .unwrap_or_else(|| panic!("rank loss before first epoch: {}", loss.error));
+    fn recover(&mut self, loss: RankLoss) -> Result<StepStats, StepError> {
         let survivors = self.nranks() - 1;
-        assert!(survivors >= 1, "no surviving ranks: {}", loss.error);
+        let Some(mut replay_plan) = self.fault_plan().filter(|_| survivors > 0).cloned() else {
+            return Err(StepError::RankLoss(loss));
+        };
+        let Some(epoch) = self.epoch.take() else {
+            return Err(StepError::NoEpoch(loss));
+        };
         // The target is wherever the run had gotten to: the drained step
         // still advanced the clock, so replay re-runs it cleanly.
         let target = self.sim.istep;
         epoch
             .restore(&mut self.sim)
-            .unwrap_or_else(|e| panic!("epoch restore failed during recovery: {e}"));
-        // Adopt the dead rank's boxes: SFC split over the survivors,
-        // seeded with the measured per-box costs so the redistribution
-        // is load-aware, like a regular rebalance.
-        let dm = DistributionMapping::build(
-            self.sim.fs.boxarray(),
-            survivors,
-            Strategy::SpaceFillingCurve,
-            self.sim.cost.costs(),
-        );
-        self.sim.dm = dm.clone();
-        // Rebalance decisions now target the shrunken rank set.
-        if let Some(policy) = &mut self.sim.lb {
-            policy.set_nranks(survivors);
-        }
-        // Fresh transport over the survivors, same seed, crash cleared —
-        // in-flight frames of the dead transport are dropped with it.
-        let mut replay_plan = plan.clone();
+            .map_err(|e| StepError::Restore(e.to_string()))?;
+        // Adopt the dead rank's boxes over a fresh transport of the
+        // survivors, same seed, crash cleared — in-flight frames of the
+        // dead transport are dropped with it.
         replay_plan.crash = None;
-        let (eps, inj) = faulty_mem_transport(survivors, replay_plan.clone());
-        let mut comm = DistComm::new(boxed(eps), dm);
-        comm.attach_injector(Arc::clone(&inj));
-        self.comm = comm;
-        self.fault_plan = Some(replay_plan);
-        self.injector = Some(inj);
-        // The rank set changed under every cached exchange plan.
-        self.sim.invalidate_all_plans();
+        self.kind = TransportKind::Faulty(replay_plan);
+        self.rebuild_comm(survivors)?;
         let replayed = target - self.sim.istep;
         self.comm.note_recovery(replayed);
-        self.recovery_log.push(RecoveryEvent {
+        let ev = RecoveryEvent {
             detected_step: loss.step,
             phase: loss.phase,
             dead_rank: loss.dead_rank,
             survivors,
             epoch_step: self.sim.istep,
             replayed,
+        };
+        self.recovery_log.push(ev);
+        // A rank crash, even a recovered one, dumps the flight recorder
+        // so the incident is inspectable after the run.
+        with_recorder(|r| {
+            r.push(FlightEvent::Recovery {
+                step: ev.detected_step,
+                dead_rank: ev.dead_rank,
+                epoch_step: ev.epoch_step,
+                replayed,
+            })
         });
+        dump_recorder("rank_loss");
         let mut last = StepStats::default();
         for _ in 0..replayed {
-            last = self.step();
+            last = self.try_step()?;
         }
-        last
+        Ok(last)
     }
 
     /// Force an immediate rebalance adoption, physically migrating box
@@ -537,5 +649,41 @@ impl DistSim {
             .adopt_mapping(&prev, &next, &mut self.sim.fs, &mut self.sim.parts);
         self.sim.fs.invalidate_plans();
         self.sim.dm = next;
+    }
+}
+
+impl Stepper for DistSim {
+    type Error = StepError;
+
+    fn sim(&self) -> &Simulation {
+        &self.sim
+    }
+
+    fn sim_mut(&mut self) -> &mut Simulation {
+        &mut self.sim
+    }
+
+    fn advance(&mut self) -> Result<StepStats, StepError> {
+        self.step()
+    }
+
+    fn refresh_epoch(&mut self) {
+        DistSim::refresh_epoch(self)
+    }
+
+    fn nranks(&self) -> usize {
+        DistSim::nranks(self)
+    }
+
+    fn resizes(&self) -> usize {
+        self.resize_log.len()
+    }
+
+    fn recoveries(&self) -> usize {
+        self.recovery_log.len()
+    }
+
+    fn first_loss_step(&self) -> Option<u64> {
+        self.recovery_log.first().map(|ev| ev.detected_step)
     }
 }

@@ -34,8 +34,8 @@ pub mod snapshot;
 pub use expo::{parse as parse_exposition, render as render_exposition, Sample};
 pub use hub::MetricsHub;
 pub use recorder::{
-    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, sigusr1_pending,
-    with_recorder, FlightEvent, FlightRecorder, BLACKBOX_SCHEMA,
+    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, observe_step,
+    sigusr1_pending, with_recorder, FlightEvent, FlightRecorder, BLACKBOX_SCHEMA,
 };
 pub use snapshot::{
     FleetSnapshot, JobMetrics, RankMetrics, RankSampler, ServeMetrics, TenantMetrics,

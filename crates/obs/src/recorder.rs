@@ -9,6 +9,7 @@
 //! generation, and the last recorded step so a post-mortem can line
 //! the blackbox up against `summary.json`'s `failure_step`.
 
+use mrpic_core::sim::Simulation;
 use mrpic_core::telemetry::StepRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -204,6 +205,20 @@ pub fn dump_recorder(reason: &str) -> Option<PathBuf> {
         Err(e) => {
             eprintln!("warning: cannot write blackbox {}: {e}", r.path.display());
             None
+        }
+    }
+}
+
+/// The flight recorder's per-step run-loop observer: fold the step's
+/// telemetry record into the installed ring, and dump the ring if a
+/// SIGUSR1 arrived since the last step.
+pub fn observe_step(sim: &Simulation) {
+    if let Some(rec) = sim.telemetry.records().back() {
+        with_recorder(|r| r.observe_record(rec));
+    }
+    if sigusr1_pending() {
+        if let Some(p) = dump_recorder("sigusr1") {
+            eprintln!("SIGUSR1: flight recorder -> {}", p.display());
         }
     }
 }

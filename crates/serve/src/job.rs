@@ -5,8 +5,11 @@
 //! [`Budgets`], and either a live [`Simulation`] or — while preempted —
 //! a parked checkpoint v2 [`Checkpoint`] (the live simulation is
 //! dropped, so a parked job costs its checkpoint bytes, not its working
-//! set). The step loop mirrors `mrpic_run`: step, stream the telemetry
-//! record, honor MR patch-removal times, stop on a guard trip.
+//! set). A slice is one call into the shared
+//! [`RunSession`] loop — the same one
+//! `mrpic_run` drives — with the telemetry stream as its observer; the
+//! session (stop rule, patch removals, tallies) lives in the runner, so
+//! it survives the simulation being parked.
 //!
 //! The preemption contract: `run_slice → park → run_slice …` produces a
 //! final state **bitwise identical** to one uninterrupted run of the
@@ -20,6 +23,7 @@
 use crate::protocol::{Budgets, JobSpec, JobSummary};
 use mrpic_core::checkpoint::Checkpoint;
 use mrpic_core::config::RunConfig;
+use mrpic_core::run::{RunSession, Stop};
 use mrpic_core::sim::Simulation;
 use mrpic_core::telemetry::StepRecord;
 
@@ -49,18 +53,15 @@ pub struct JobRunner {
     budgets: Budgets,
     sim: Option<Box<Simulation>>,
     parked: Option<Box<Checkpoint>>,
-    removals: Vec<f64>,
-    removed: Vec<bool>,
+    /// Stop rule, patch removals and run tallies; it outlives `park`,
+    /// which drops the live simulation.
+    session: RunSession,
     /// Steps executed across all slices.
     pub steps_done: u64,
     /// Times the job was checkpointed and parked.
     pub preemptions: u64,
     /// Times the job was resumed from a parked checkpoint.
     pub resumes: u64,
-    /// Execution wall seconds across all slices.
-    pub wall_seconds: f64,
-    imb_sum: f64,
-    imb_steps: u64,
     last_time: f64,
     last_particles: u64,
     guard_trips: u64,
@@ -69,19 +70,18 @@ pub struct JobRunner {
 
 impl JobRunner {
     pub fn new(cfg: RunConfig, budgets: Budgets) -> Self {
+        let session = RunSession::new(cfg.t_end, cfg.removal_times())
+            .max_steps(budgets.max_steps.unwrap_or(u64::MAX))
+            .wall_ceiling(budgets.wall_ceiling_seconds);
         Self {
             cfg,
             budgets,
             sim: None,
             parked: None,
-            removals: Vec::new(),
-            removed: Vec::new(),
+            session,
             steps_done: 0,
             preemptions: 0,
             resumes: 0,
-            wall_seconds: 0.0,
-            imb_sum: 0.0,
-            imb_steps: 0,
             last_time: 0.0,
             last_particles: 0,
             guard_trips: 0,
@@ -102,16 +102,11 @@ impl JobRunner {
         }
         if let Some(ck) = self.parked.take() {
             let _sp = mrpic_trace::span!("serve.restore");
-            let (sim, removals) = ck.resume(&self.cfg)?;
-            // Removal checks run after every step, so the checkpoint is
-            // always post-removal-check: a removal time already reached
-            // at capture has already fired.
-            self.removed = removals.iter().map(|&tr| sim.time >= tr).collect();
-            self.removals = removals;
+            let (sim, _) = ck.resume(&self.cfg)?;
             self.resumes += 1;
             self.sim = Some(Box::new(sim));
         } else {
-            let (sim, removals) = self.cfg.build()?;
+            let (sim, _) = self.cfg.build()?;
             if let Some(mb) = self.budgets.max_boxes {
                 let nb = sim.fs.nfabs();
                 if nb > mb {
@@ -121,8 +116,6 @@ impl JobRunner {
                     ));
                 }
             }
-            self.removed = vec![false; removals.len()];
-            self.removals = removals;
             self.last_particles = sim.total_particles() as u64;
             self.sim = Some(Box::new(sim));
         }
@@ -138,52 +131,29 @@ impl JobRunner {
         sink: &mut dyn FnMut(StepRecord),
     ) -> Result<SliceReport, String> {
         self.activate()?;
-        let t_end = self.cfg.t_end;
-        let max_total = self.budgets.max_steps;
-        let wall_ceiling = self.budgets.wall_ceiling_seconds;
-        let wall_before = self.wall_seconds;
         let sim = self.sim.as_mut().expect("activated simulation");
-        let t0 = std::time::Instant::now();
-        let mut steps = 0u64;
-        let status = loop {
-            if sim.time >= t_end || max_total.is_some_and(|m| self.steps_done >= m) {
-                self.finished = true;
-                break SliceStatus::Completed;
-            }
-            if steps >= max_steps {
-                break SliceStatus::Quantum;
-            }
-            sim.step();
-            steps += 1;
-            self.steps_done += 1;
-            if let Some(rec) = sim.telemetry.records().back() {
-                if let Some(x) = rec.imbalance {
-                    self.imb_sum += x;
-                    self.imb_steps += 1;
-                }
+        let before = sim.istep;
+        let mut stream = |s: &mut Simulation| {
+            if let Some(rec) = s.telemetry.records().back() {
                 sink(rec.clone());
             }
-            for (i, &tr) in self.removals.iter().enumerate() {
-                if !self.removed[i] && sim.time >= tr {
-                    sim.remove_mr_patch();
-                    self.removed[i] = true;
-                }
-            }
-            if sim.telemetry.tripped() {
-                self.finished = true;
-                break SliceStatus::GuardTripped;
-            }
-            if let Some(ceiling) = wall_ceiling {
-                if wall_before + t0.elapsed().as_secs_f64() > ceiling {
-                    self.finished = true;
-                    break SliceStatus::BudgetExhausted(format!(
-                        "budget exceeded: wall ceiling of {ceiling} s reached after {} steps",
-                        self.steps_done
-                    ));
-                }
-            }
         };
-        self.wall_seconds += t0.elapsed().as_secs_f64();
+        let Ok(stop) = self.session.run(&mut **sim, max_steps, &mut [&mut stream]);
+        let steps = sim.istep - before;
+        self.steps_done += steps;
+        let status = match stop {
+            Stop::Quantum => SliceStatus::Quantum,
+            Stop::Completed => SliceStatus::Completed,
+            Stop::GuardTrip => SliceStatus::GuardTripped,
+            Stop::WallCeiling => SliceStatus::BudgetExhausted(format!(
+                "budget exceeded: wall ceiling of {} s reached after {} steps",
+                self.budgets.wall_ceiling_seconds.unwrap_or_default(),
+                self.steps_done
+            )),
+        };
+        if status != SliceStatus::Quantum {
+            self.finished = true;
+        }
         self.last_time = sim.time;
         self.last_particles = sim.total_particles() as u64;
         self.guard_trips = sim.telemetry.trips().len() as u64;
@@ -224,7 +194,7 @@ impl JobRunner {
     /// Run-mean of the per-step telemetry imbalance, like `mrpic_run`'s
     /// summary.json.
     pub fn mean_imbalance(&self) -> Option<f64> {
-        (self.imb_steps > 0).then(|| self.imb_sum / self.imb_steps as f64)
+        self.session.mean_imbalance()
     }
 
     pub fn guard_trips(&self) -> u64 {
@@ -243,7 +213,7 @@ impl JobRunner {
             preemptions: self.preemptions,
             resumes: self.resumes,
             mean_imbalance: self.mean_imbalance(),
-            wall_seconds: self.wall_seconds,
+            wall_seconds: self.session.wall_seconds,
         }
     }
 }

@@ -28,15 +28,20 @@
 //!
 //! A process whose rank is at or beyond the *initial* rank count is a
 //! spectator: it replicates the physics off the mesh and joins the wire
-//! when an `--elastic` grow raises the rank count past it. Exit codes
-//! match `mrpic_run` (0 clean, 2 usage/config, 3 guard trip, 4 transport
-//! loss).
+//! when an `--elastic` grow raises the rank count past it.
+//!
+//! The step loop is the library `RunSession` every driver shares, with
+//! the flight recorder and the metrics push as its per-step observers.
+//! A lost mesh comes back from it as a `StepError` value, which maps onto
+//! the exit contract `mrpic_run` also uses (`core::run::Exit`: 0 clean,
+//! 2 usage/config, 3 guard trip, 4 transport loss).
 
 use mrpic::core::config::RunConfig;
+use mrpic::core::run::{Exit, RunSession};
 use mrpic::dist::{parse_elastic_plan, DistSim, MeshCfg, MetricsPusher};
 use mrpic::obs::{
-    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, sigusr1_pending,
-    with_recorder, FlightEvent, FlightRecorder, RankSampler,
+    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, observe_step, FlightRecorder,
+    RankSampler,
 };
 
 fn req<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, what: &str) -> T {
@@ -62,30 +67,16 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--metrics-sock" => {
-                metrics_sock = Some(std::path::PathBuf::from(req::<String>(
-                    &mut args,
-                    "--metrics-sock",
-                )))
-            }
+            "--metrics-sock" => metrics_sock = Some(req(&mut args, "--metrics-sock")),
             "--metrics-interval" => {
                 metrics_interval = req::<u64>(&mut args, "--metrics-interval").max(1)
             }
             "--config" => config_path = Some(req(&mut args, "--config")),
-            "--outdir" => {
-                outdir = Some(std::path::PathBuf::from(req::<String>(
-                    &mut args, "--outdir",
-                )))
-            }
+            "--outdir" => outdir = Some(req(&mut args, "--outdir")),
             "--rank" => rank = req(&mut args, "--rank"),
             "--ranks" => ranks = req(&mut args, "--ranks"),
             "--nonce" => nonce = req(&mut args, "--nonce"),
-            "--socket-dir" => {
-                socket_dir = Some(std::path::PathBuf::from(req::<String>(
-                    &mut args,
-                    "--socket-dir",
-                )))
-            }
+            "--socket-dir" => socket_dir = Some(req(&mut args, "--socket-dir")),
             "--tcp-base" => tcp_base = Some(req(&mut args, "--tcp-base")),
             "--steps" => max_steps = req(&mut args, "--steps"),
             "--elastic" => elastic_spec = Some(req(&mut args, "--elastic")),
@@ -164,108 +155,49 @@ fn main() {
     let mut dist = DistSim::process_rank(sim, mesh, rank).unwrap_or_else(|e| {
         eprintln!("mrpic_rank: rank {rank} cannot join the socket mesh: {e}");
         let _ = dump_recorder("transport_loss");
-        std::process::exit(4);
+        std::process::exit(Exit::TransportLoss.code());
     });
     if let Some(events) = elastic {
-        dist.set_elastic_plan(events);
+        if let Err(e) = dist.set_elastic_plan(events) {
+            eprintln!("mrpic_rank: bad --elastic plan: {e}");
+            std::process::exit(e.exit().code());
+        }
     }
 
-    let mut removed = vec![false; removals.len()];
-    let mut lb_adoptions = 0u64;
-    let mut imb_sum = 0.0f64;
-    let mut imb_steps = 0u64;
-    let t0 = std::time::Instant::now();
-    while dist.sim.time < cfg.t_end && dist.sim.istep < max_steps {
-        let stats = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dist.step())) {
-            Ok(stats) => stats,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default();
-                eprintln!("mrpic_rank: rank {rank} lost the mesh: {msg}");
-                with_recorder(|r| {
-                    let step = r.last_step();
-                    r.push(FlightEvent::TransportError { step, detail: msg });
-                });
-                if let Some(p) = dump_recorder("transport_loss") {
-                    eprintln!("mrpic_rank: flight recorder -> {}", p.display());
-                }
-                std::process::exit(4);
-            }
-        };
-        lb_adoptions += stats.rebalances;
-        if let Some(rec) = dist.sim.telemetry.records().back() {
-            with_recorder(|r| r.observe_record(rec));
-            if pusher.is_connected() {
-                sampler.observe(rec);
-            }
+    let mut session = RunSession::new(cfg.t_end, removals).max_steps(max_steps);
+    let mut push = |d: &mut DistSim| {
+        if !pusher.is_connected() {
+            return;
         }
-        if pusher.is_connected() && dist.sim.istep.is_multiple_of(metrics_interval) {
-            sampler.set_generation(dist.resize_log.len() as u64);
+        if let Some(rec) = d.sim.telemetry.records().back() {
+            sampler.observe(rec);
+        }
+        if d.sim.istep.is_multiple_of(metrics_interval) {
+            sampler.set_generation(d.resize_log.len() as u64);
             pusher.push(&sampler.sample());
         }
-        if sigusr1_pending() {
-            if let Some(p) = dump_recorder("sigusr1") {
-                eprintln!("mrpic_rank: SIGUSR1: flight recorder -> {}", p.display());
-            }
+    };
+    let run = session.run(
+        &mut dist,
+        u64::MAX,
+        &mut [&mut |d: &mut DistSim| observe_step(&d.sim), &mut push],
+    );
+    if let Err(e) = run {
+        eprintln!("mrpic_rank: rank {rank} lost the mesh: {e}");
+        if let Some(p) = dump_recorder("transport_loss") {
+            eprintln!("mrpic_rank: flight recorder -> {}", p.display());
         }
-        if let Some(x) = dist
-            .sim
-            .telemetry
-            .records()
-            .back()
-            .and_then(|r| r.imbalance)
-        {
-            imb_sum += x;
-            imb_steps += 1;
-        }
-        for (i, &tr) in removals.iter().enumerate() {
-            if !removed[i] && dist.sim.time >= tr {
-                dist.sim.remove_mr_patch();
-                dist.refresh_epoch();
-                removed[i] = true;
-            }
-        }
-        if dist.sim.telemetry.tripped() {
-            break;
-        }
+        std::process::exit(Exit::from(e).code());
     }
-    let wall = t0.elapsed().as_secs_f64();
 
     if rank == 0 {
-        let sim = &dist.sim;
-        let mean_imbalance = (imb_steps > 0).then(|| imb_sum / imb_steps as f64);
-        let failure_step = if sim.telemetry.tripped() {
-            Some(sim.telemetry.trips()[0].step)
-        } else {
-            dist.recovery_log.first().map(|ev| ev.detected_step)
-        };
-        let summary = serde_json::json!({
-            "ranks": ranks,
-            "final_ranks": dist.nranks(),
-            "steps": sim.istep,
-            "time": sim.time,
-            "wall_seconds": wall,
-            "particles": sim.total_particles(),
-            "window_x0": sim.fs.geom.x0[0],
-            "guard_trips": sim.telemetry.trips().len(),
-            "recoveries": dist.recovery_log.len(),
-            "resizes": dist.resize_log.len(),
-            "lb_adoptions": lb_adoptions,
-            "mean_imbalance": mean_imbalance,
-            "failure_step": failure_step,
-            "state_digest": format!("{:016x}", sim.state_digest()),
-        });
-        std::fs::write(
-            outdir.join("summary.json"),
-            serde_json::to_string_pretty(&summary).unwrap(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("mrpic_rank: cannot write summary.json: {e}");
-            std::process::exit(2);
-        });
+        session
+            .summary(&dist, ranks)
+            .write(&outdir.join("summary.json"))
+            .unwrap_or_else(|e| {
+                eprintln!("mrpic_rank: cannot write summary.json: {e}");
+                std::process::exit(2);
+            });
         for ev in &dist.resize_log {
             println!(
                 "rank 0: resized {} -> {} rank(s) at step {}",
@@ -274,9 +206,9 @@ fn main() {
         }
         println!(
             "rank 0: {} steps in {:.1} s wall, digest {:016x}",
-            sim.istep,
-            wall,
-            sim.state_digest(),
+            dist.sim.istep,
+            session.wall_seconds,
+            dist.sim.state_digest(),
         );
     }
     // One last sample so the supervisor's snapshot reflects the final
@@ -285,8 +217,7 @@ fn main() {
         pusher.push(&sampler.sample());
     }
     dist.sim.telemetry.sync();
-    if dist.sim.telemetry.tripped() {
-        let t = &dist.sim.telemetry.trips()[0];
+    if let Some(t) = dist.sim.telemetry.trips().first() {
         eprintln!(
             "mrpic_rank: rank {rank} INVARIANT GUARD TRIPPED at step {}: non-finite {} on {} \
              (box {}, after {})",
@@ -295,6 +226,6 @@ fn main() {
         if let Some(p) = dump_recorder("guard_trip") {
             eprintln!("mrpic_rank: flight recorder -> {}", p.display());
         }
-        std::process::exit(3);
+        std::process::exit(Exit::GuardTrip.code());
     }
 }

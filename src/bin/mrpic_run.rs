@@ -71,106 +71,195 @@
 //! budgets (`--steps` becomes the job's step budget). `--serve-status
 //! SOCKET` prints a server status snapshot and exits.
 //!
-//! Exit codes (local and submit mode alike):
+//! Exit codes (local and submit mode alike) are the `core::run::Exit`
+//! contract. The local step loop is the library `RunSession` that
+//! `mrpic_rank` workers and `mrpic-serve` jobs also run; an unrecoverable
+//! rank loss comes back from it as a `dist::StepError` value (never a
+//! panic) and maps to 4, and a supervisor folds its workers' statuses
+//! by the enum's severity order (2 beats 4 beats 3 beats 0):
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | run completed, guard-clean |
-//! | 2    | usage, config/validation, or local IO error (incl. server unreachable / submission rejected) |
+//! | 2    | usage, config/validation (incl. an `--elastic` plan that shrinks below one rank), or local IO error (incl. server unreachable / submission rejected) |
 //! | 3    | the NaN/Inf invariant guard tripped (locally, or in the remote job's summary) |
 //! | 4    | transport loss: unrecoverable rank loss in a `--ranks` run, or the connection/job was lost after the server accepted it |
 
+use std::path::{Path, PathBuf};
+
 use mrpic::core::config::RunConfig;
 use mrpic::core::diag::{electron_spectrum, write_field_slice, FieldPick, TimeSeries};
-use mrpic::core::sim::Simulation;
-use mrpic::dist::{parse_elastic_plan, DistSim, ElasticAction, ElasticEvent, FaultPlan};
+use mrpic::core::run::{Exit, RunSession, Stepper};
+use mrpic::dist::{elastic_peak, parse_elastic_plan, DistSim, FaultPlan};
 use mrpic::obs::{
-    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, sigusr1_pending,
-    with_recorder, FlightEvent, FlightRecorder, MetricsHub, RankSampler,
+    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, observe_step, FlightRecorder,
+    MetricsHub, RankSampler,
 };
 use mrpic::serve::{fetch_status, submit_job, Budgets, ClientError, JobSpec};
 
-/// The step-loop driver: serial in-process, or the multi-rank runtime
-/// (which also owns chaos recovery when a fault plan is attached).
-enum Runner {
-    Serial(Box<Simulation>),
-    Dist(Box<DistSim>),
-}
-
-impl Runner {
-    fn sim(&self) -> &Simulation {
-        match self {
-            Runner::Serial(s) => s,
-            Runner::Dist(d) => &d.sim,
-        }
-    }
-
-    fn sim_mut(&mut self) -> &mut Simulation {
-        match self {
-            Runner::Serial(s) => s,
-            Runner::Dist(d) => &mut d.sim,
-        }
-    }
-
-    fn step(&mut self) -> mrpic::core::sim::StepStats {
-        match self {
-            Runner::Serial(s) => s.step(),
-            Runner::Dist(d) => d.step(),
-        }
-    }
-
-    /// Re-arm the recovery epoch after out-of-loop state surgery.
-    fn refresh_epoch(&mut self) {
-        if let Runner::Dist(d) = self {
-            d.refresh_epoch();
-        }
-    }
-}
-
-/// Map a panic payload from the distributed runtime to its message, if
-/// it is one of the known transport-loss aborts.
-fn transport_loss_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))?;
-    (msg.contains("transport failure") || msg.contains("rank loss") || msg.contains("recovery"))
-        .then_some(msg)
-}
-
-/// Supervise an out-of-process run: spawn one `mrpic_rank` worker per
-/// rank (plus spectators up to the largest elastic size), wait for all
-/// of them, clean up the socket directory, and fold the workers' exit
-/// codes into this binary's exit-code contract (2 beats 4 beats 3).
-#[allow(clippy::too_many_arguments)]
-fn run_process_mesh(
-    config: &str,
-    outdir: &std::path::Path,
-    ranks: usize,
-    transport: &str,
-    tcp_base: u16,
-    elastic_spec: Option<&str>,
-    elastic: &Option<Vec<ElasticEvent>>,
+/// Parsed command line (see the module docs).
+struct Cli {
+    config: Option<String>,
+    outdir: Option<String>,
     max_steps: u64,
+    ranks: usize,
+    fault_plan: Option<FaultPlan>,
+    trace_out: Option<PathBuf>,
     no_lb: bool,
-    metrics_addr: Option<&str>,
-    metrics_out: Option<&std::path::Path>,
+    transport: String,
+    tcp_base: u16,
+    elastic_spec: Option<String>,
+    submit: Option<PathBuf>,
+    serve_status: Option<PathBuf>,
+    tenant: String,
+    priority: i32,
+    wall_ceiling: Option<f64>,
+    metrics_addr: Option<String>,
+    metrics_out: Option<PathBuf>,
     metrics_interval: u64,
-) -> i32 {
-    // Spawn enough workers to cover the largest planned mesh: a worker
-    // whose rank is beyond the current size replicates as a spectator
-    // until a grow admits it.
-    let mut spawn = ranks;
-    if let Some(events) = elastic {
-        let mut cur = ranks;
-        for ev in events {
-            cur = match ev.action {
-                ElasticAction::Grow(k) => cur + k,
-                ElasticAction::Shrink(k) => cur.saturating_sub(k).max(1),
-            };
-            spawn = spawn.max(cur);
+    poison_step: Option<u64>,
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(Exit::Usage.code());
+}
+
+/// The next argument parsed as `T`, or exit 2 with `msg`.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, msg: &str) -> T {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage_error(msg))
+}
+
+fn parse_args() -> Cli {
+    let mut cli = Cli {
+        config: None,
+        outdir: None,
+        max_steps: u64::MAX,
+        ranks: 1,
+        fault_plan: None,
+        trace_out: None,
+        no_lb: false,
+        transport: "mem".to_string(),
+        tcp_base: 41300,
+        elastic_spec: None,
+        submit: None,
+        serve_status: None,
+        tenant: "default".to_string(),
+        priority: 0,
+        wall_ceiling: None,
+        metrics_addr: None,
+        metrics_out: None,
+        metrics_interval: 10,
+        poison_step: None,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let args = &mut args;
+        match a.as_str() {
+            "--no-lb" => cli.no_lb = true,
+            "--metrics-addr" => {
+                cli.metrics_addr = Some(value(args, "--metrics-addr needs a HOST:PORT argument"))
+            }
+            "--metrics-out" => {
+                cli.metrics_out = Some(value(args, "--metrics-out needs a path argument"))
+            }
+            "--metrics-interval" => {
+                cli.metrics_interval =
+                    value(args, "--metrics-interval needs a positive step count");
+                if cli.metrics_interval == 0 {
+                    usage_error("--metrics-interval needs a positive step count");
+                }
+            }
+            "--poison-step" => {
+                cli.poison_step = Some(value(args, "--poison-step needs a step number argument"))
+            }
+            "--transport" => {
+                cli.transport = args.next().unwrap_or_default();
+                if !matches!(cli.transport.as_str(), "mem" | "socket" | "tcp") {
+                    usage_error("--transport needs one of: mem, socket, tcp");
+                }
+            }
+            "--tcp-base" => cli.tcp_base = value(args, "--tcp-base needs a port argument"),
+            "--elastic" => {
+                cli.elastic_spec = Some(value(
+                    args,
+                    "--elastic needs a plan argument (grow:STEP:K,shrink:STEP:K)",
+                ))
+            }
+            "--submit" => {
+                cli.submit = Some(value(args, "--submit needs a server socket path argument"))
+            }
+            "--serve-status" => {
+                cli.serve_status = Some(value(
+                    args,
+                    "--serve-status needs a server socket path argument",
+                ))
+            }
+            "--tenant" => cli.tenant = value(args, "--tenant needs a name argument"),
+            "--priority" => cli.priority = value(args, "--priority needs an integer argument"),
+            "--wall-ceiling" => {
+                cli.wall_ceiling = Some(value(
+                    args,
+                    "--wall-ceiling needs a positive seconds argument",
+                ))
+            }
+            "--steps" => cli.max_steps = value(args, "--steps needs an integer argument"),
+            "--ranks" => {
+                cli.ranks = value(args, "--ranks needs a positive integer argument");
+                if cli.ranks == 0 {
+                    usage_error("--ranks needs a positive integer argument");
+                }
+            }
+            "--fault-seed" => {
+                let seed = value(args, "--fault-seed needs an integer argument");
+                cli.fault_plan = Some(FaultPlan::chaos_smoke(seed));
+            }
+            "--trace-out" => cli.trace_out = Some(value(args, "--trace-out needs a path argument")),
+            "--fault-plan" => {
+                let p: String = value(args, "--fault-plan needs a path argument");
+                let text = std::fs::read_to_string(&p)
+                    .unwrap_or_else(|e| usage_error(&format!("cannot read fault plan {p}: {e}")));
+                cli.fault_plan = Some(
+                    FaultPlan::from_json(&text)
+                        .unwrap_or_else(|e| usage_error(&format!("fault plan error: {e}"))),
+                );
+            }
+            _ if cli.config.is_none() => cli.config = Some(a),
+            _ if cli.outdir.is_none() => cli.outdir = Some(a),
+            other => usage_error(&format!("unexpected argument: {other}")),
         }
     }
+    cli
+}
+
+/// Serve `hub` over HTTP at `addr`, recording the bound address in
+/// `<outdir>/metrics.addr` so scripts can scrape a port-0 listener.
+fn serve_metrics(hub: &MetricsHub, addr: &str, outdir: &Path) {
+    match mrpic::obs::http::serve(hub.clone(), addr) {
+        Ok(bound) => {
+            println!("metrics: http://{bound}/metrics");
+            if let Err(e) = std::fs::write(outdir.join("metrics.addr"), format!("{bound}\n")) {
+                eprintln!("warning: cannot write metrics.addr: {e}");
+            }
+        }
+        Err(e) => usage_error(&format!("cannot bind metrics listener {addr}: {e}")),
+    }
+}
+
+fn write_metrics(hub: &MetricsHub, path: &Path) {
+    match hub.write_json(path) {
+        Ok(()) => println!("metrics snapshot -> {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
+}
+
+/// Supervise an out-of-process run: spawn `spawn` `mrpic_rank` workers
+/// (the initial ranks plus spectators up to the largest elastic size),
+/// wait for all of them, clean up the socket directory, and fold the
+/// workers' exit statuses into the worst one.
+fn run_process_mesh(cli: &Cli, config: &str, outdir: &Path, spawn: usize) -> Exit {
     // Session nonce: pins every handshake to this supervisor invocation
     // so a stale worker from a previous run cannot join the mesh.
     let nonce = std::time::SystemTime::now()
@@ -183,17 +272,18 @@ fn run_process_mesh(
         .and_then(|p| p.parent().map(|d| d.join("mrpic_rank")))
         .filter(|p| p.exists())
         .unwrap_or_else(|| {
-            eprintln!("cannot locate the mrpic_rank worker binary next to mrpic_run");
-            std::process::exit(2);
+            usage_error("cannot locate the mrpic_rank worker binary next to mrpic_run")
         });
-    let metrics_on = metrics_addr.is_some() || metrics_out.is_some();
+    let metrics_on = cli.metrics_addr.is_some() || cli.metrics_out.is_some();
     let mesh_dir = outdir.join(format!(".mesh-{nonce:016x}"));
     // The mesh directory hosts the rank sockets (uds transport) and the
     // supervisor's metrics aggregation socket (any transport).
-    if transport == "socket" || metrics_on {
+    if cli.transport == "socket" || metrics_on {
         if let Err(e) = std::fs::create_dir_all(&mesh_dir) {
-            eprintln!("cannot create socket dir {}: {e}", mesh_dir.display());
-            std::process::exit(2);
+            usage_error(&format!(
+                "cannot create socket dir {}: {e}",
+                mesh_dir.display()
+            ));
         }
     }
     // Metrics plane: aggregate the workers' pushed samples into a fleet
@@ -201,32 +291,23 @@ fn run_process_mesh(
     let hub = metrics_on.then(|| MetricsHub::new("run"));
     if let Some(hub) = &hub {
         if let Err(e) = mrpic::dist::spawn_metrics_listener(&mesh_dir, hub.clone()) {
-            eprintln!("cannot bind metrics socket in {}: {e}", mesh_dir.display());
-            std::process::exit(2);
+            usage_error(&format!(
+                "cannot bind metrics socket in {}: {e}",
+                mesh_dir.display()
+            ));
         }
     }
-    if let (Some(hub), Some(addr)) = (&hub, metrics_addr) {
-        match mrpic::obs::http::serve(hub.clone(), addr) {
-            Ok(bound) => {
-                println!("metrics: http://{bound}/metrics");
-                if let Err(e) = std::fs::write(outdir.join("metrics.addr"), format!("{bound}\n")) {
-                    eprintln!("warning: cannot write metrics.addr: {e}");
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot bind metrics listener {addr}: {e}");
-                std::process::exit(2);
-            }
-        }
+    if let (Some(hub), Some(addr)) = (&hub, &cli.metrics_addr) {
+        serve_metrics(hub, addr, outdir);
     }
     println!(
         "process mesh: {spawn} worker process(es) over {} ({} active rank(s) at start)",
-        if transport == "tcp" {
-            format!("tcp 127.0.0.1:{tcp_base}+")
+        if cli.transport == "tcp" {
+            format!("tcp 127.0.0.1:{}+", cli.tcp_base)
         } else {
             format!("uds {}", mesh_dir.display())
         },
-        ranks,
+        cli.ranks,
     );
     let mut children = Vec::new();
     for r in 0..spawn {
@@ -242,28 +323,28 @@ fn run_process_mesh(
             .arg("--rank")
             .arg(r.to_string())
             .arg("--ranks")
-            .arg(ranks.to_string())
+            .arg(cli.ranks.to_string())
             .arg("--nonce")
             .arg(nonce.to_string());
-        if transport == "tcp" {
-            cmd.arg("--tcp-base").arg(tcp_base.to_string());
+        if cli.transport == "tcp" {
+            cmd.arg("--tcp-base").arg(cli.tcp_base.to_string());
         } else {
             cmd.arg("--socket-dir").arg(&mesh_dir);
         }
-        if max_steps != u64::MAX {
-            cmd.arg("--steps").arg(max_steps.to_string());
+        if cli.max_steps != u64::MAX {
+            cmd.arg("--steps").arg(cli.max_steps.to_string());
         }
-        if let Some(spec) = elastic_spec {
+        if let Some(spec) = &cli.elastic_spec {
             cmd.arg("--elastic").arg(spec);
         }
-        if no_lb {
+        if cli.no_lb {
             cmd.arg("--no-lb");
         }
         if metrics_on {
             cmd.arg("--metrics-sock")
                 .arg(mesh_dir.join(mrpic::dist::METRICS_SOCK_FILE))
                 .arg("--metrics-interval")
-                .arg(metrics_interval.to_string());
+                .arg(cli.metrics_interval.to_string());
         }
         match cmd.spawn() {
             Ok(child) => children.push((r, child)),
@@ -274,205 +355,39 @@ fn run_process_mesh(
                     let _ = c.wait();
                 }
                 let _ = std::fs::remove_dir_all(&mesh_dir);
-                return 2;
+                return Exit::Usage;
             }
         }
     }
-    let mut worst = 0i32;
+    let mut worst = Exit::Clean;
     for (r, mut child) in children {
         let code = match child.wait() {
-            Ok(status) => status.code().unwrap_or(4),
+            Ok(status) => status.code(),
             Err(e) => {
                 eprintln!("cannot wait for rank {r} worker: {e}");
-                4
+                None
             }
         };
-        if code != 0 {
-            eprintln!("rank {r} worker exited with code {code}");
+        match code {
+            Some(0) => {}
+            Some(c) => eprintln!("rank {r} worker exited with code {c}"),
+            None => eprintln!("rank {r} worker died without an exit code"),
         }
-        // Severity order mirrors the local exit contract: usage/config
-        // errors trump transport loss, which trumps a guard trip.
-        let rank_of = |c: i32| match c {
-            0 => 0,
-            3 => 1,
-            4 => 2,
-            _ => 3,
-        };
-        if rank_of(code) > rank_of(worst) {
-            worst = code;
-        }
+        worst = worst.max(Exit::from_code(code));
     }
-    if let (Some(hub), Some(path)) = (&hub, metrics_out) {
-        match hub.write_json(path) {
-            Ok(()) => println!("metrics snapshot -> {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
+    if let (Some(hub), Some(path)) = (&hub, &cli.metrics_out) {
+        write_metrics(hub, path);
     }
     let _ = std::fs::remove_dir_all(&mesh_dir);
-    if worst == 0 {
+    if worst == Exit::Clean {
         println!("process mesh complete; outputs in {}", outdir.display());
     }
     worst
 }
 
 fn main() {
-    let mut config_path = None;
-    let mut outdir_arg = None;
-    let mut max_steps = u64::MAX;
-    let mut ranks = 1usize;
-    let mut fault_plan: Option<FaultPlan> = None;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut no_lb = false;
-    let mut transport = "mem".to_string();
-    let mut tcp_base = 41300u16;
-    let mut elastic_spec: Option<String> = None;
-    let mut submit: Option<std::path::PathBuf> = None;
-    let mut serve_status: Option<std::path::PathBuf> = None;
-    let mut tenant = "default".to_string();
-    let mut priority = 0i32;
-    let mut wall_ceiling: Option<f64> = None;
-    let mut metrics_addr: Option<String> = None;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
-    let mut metrics_interval = 10u64;
-    let mut poison_step: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--no-lb" => no_lb = true,
-            "--metrics-addr" => {
-                metrics_addr = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--metrics-addr needs a HOST:PORT argument");
-                    std::process::exit(2);
-                }));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--metrics-out needs a path argument");
-                    std::process::exit(2);
-                })));
-            }
-            "--metrics-interval" => {
-                metrics_interval = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--metrics-interval needs a positive step count");
-                    std::process::exit(2);
-                });
-                if metrics_interval == 0 {
-                    eprintln!("--metrics-interval needs a positive step count");
-                    std::process::exit(2);
-                }
-            }
-            "--poison-step" => {
-                poison_step = Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--poison-step needs a step number argument");
-                    std::process::exit(2);
-                }));
-            }
-            "--transport" => {
-                transport = args.next().unwrap_or_default();
-                if !matches!(transport.as_str(), "mem" | "socket" | "tcp") {
-                    eprintln!("--transport needs one of: mem, socket, tcp");
-                    std::process::exit(2);
-                }
-            }
-            "--tcp-base" => {
-                tcp_base = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--tcp-base needs a port argument");
-                    std::process::exit(2);
-                });
-            }
-            "--elastic" => {
-                elastic_spec = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--elastic needs a plan argument (grow:STEP:K,shrink:STEP:K)");
-                    std::process::exit(2);
-                }));
-            }
-            "--submit" => {
-                let p = args.next().unwrap_or_else(|| {
-                    eprintln!("--submit needs a server socket path argument");
-                    std::process::exit(2);
-                });
-                submit = Some(std::path::PathBuf::from(p));
-            }
-            "--serve-status" => {
-                let p = args.next().unwrap_or_else(|| {
-                    eprintln!("--serve-status needs a server socket path argument");
-                    std::process::exit(2);
-                });
-                serve_status = Some(std::path::PathBuf::from(p));
-            }
-            "--tenant" => {
-                tenant = args.next().unwrap_or_else(|| {
-                    eprintln!("--tenant needs a name argument");
-                    std::process::exit(2);
-                });
-            }
-            "--priority" => {
-                priority = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--priority needs an integer argument");
-                    std::process::exit(2);
-                });
-            }
-            "--wall-ceiling" => {
-                let v = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--wall-ceiling needs a positive seconds argument");
-                    std::process::exit(2);
-                });
-                wall_ceiling = Some(v);
-            }
-            "--steps" => {
-                let v = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--steps needs an integer argument");
-                    std::process::exit(2);
-                });
-                max_steps = v;
-            }
-            "--ranks" => {
-                ranks = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--ranks needs a positive integer argument");
-                    std::process::exit(2);
-                });
-                if ranks == 0 {
-                    eprintln!("--ranks needs a positive integer argument");
-                    std::process::exit(2);
-                }
-            }
-            "--fault-seed" => {
-                let seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--fault-seed needs an integer argument");
-                    std::process::exit(2);
-                });
-                fault_plan = Some(FaultPlan::chaos_smoke(seed));
-            }
-            "--trace-out" => {
-                let p = args.next().unwrap_or_else(|| {
-                    eprintln!("--trace-out needs a path argument");
-                    std::process::exit(2);
-                });
-                trace_out = Some(std::path::PathBuf::from(p));
-            }
-            "--fault-plan" => {
-                let p = args.next().unwrap_or_else(|| {
-                    eprintln!("--fault-plan needs a path argument");
-                    std::process::exit(2);
-                });
-                let text = std::fs::read_to_string(&p).unwrap_or_else(|e| {
-                    eprintln!("cannot read fault plan {p}: {e}");
-                    std::process::exit(2);
-                });
-                fault_plan = Some(FaultPlan::from_json(&text).unwrap_or_else(|e| {
-                    eprintln!("fault plan error: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            _ if config_path.is_none() => config_path = Some(a),
-            _ if outdir_arg.is_none() => outdir_arg = Some(a),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(sock) = &serve_status {
+    let cli = parse_args();
+    if let Some(sock) = &cli.serve_status {
         match fetch_status(sock) {
             Ok(report) => {
                 println!(
@@ -481,14 +396,11 @@ fn main() {
                 );
                 return;
             }
-            Err(e) => {
-                eprintln!("status request failed: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => usage_error(&format!("status request failed: {e}")),
         }
     }
-    let path = config_path.unwrap_or_else(|| {
-        eprintln!(
+    let Some(path) = cli.config.clone() else {
+        usage_error(
             "usage: mrpic_run <config.json> [outdir] [--steps N] [--ranks N] [--no-lb] \
              [--transport mem|socket|tcp [--tcp-base PORT]] \
              [--elastic grow:STEP:K,shrink:STEP:K] \
@@ -496,142 +408,72 @@ fn main() {
              [--metrics-addr HOST:PORT] [--metrics-out PATH] [--metrics-interval STEPS] \
              [--poison-step N] \
              [--submit SOCKET [--tenant NAME] [--priority N] [--wall-ceiling SECONDS]] \
-             | mrpic_run --serve-status SOCKET"
+             | mrpic_run --serve-status SOCKET",
         );
-        std::process::exit(2);
+    };
+    if cli.fault_plan.is_some() && cli.ranks < 2 {
+        usage_error("fault injection needs --ranks 2 or more (a crash must leave survivors)");
+    }
+    if cli.transport != "mem" && cli.fault_plan.is_some() {
+        usage_error(
+            "--fault-seed/--fault-plan are an in-process chaos harness; use --transport mem",
+        );
+    }
+    if cli.transport != "mem" && cli.trace_out.is_some() {
+        usage_error("--trace-out traces the in-process runtime; use --transport mem");
+    }
+    if cli.transport != "mem" && cli.poison_step.is_some() {
+        usage_error("--poison-step injects into the in-process runtime; use --transport mem");
+    }
+    // Walk the elastic plan once from the starting rank count, before
+    // any worker spawns or step runs: an over-shrink is a usage error,
+    // and the peak is how many workers a process mesh needs.
+    let elastic = cli.elastic_spec.as_deref().map(|s| {
+        parse_elastic_plan(s).unwrap_or_else(|e| usage_error(&format!("bad --elastic plan: {e}")))
     });
-    if fault_plan.is_some() && ranks < 2 {
-        eprintln!("fault injection needs --ranks 2 or more (a crash must leave survivors)");
-        std::process::exit(2);
-    }
-    if transport != "mem" && fault_plan.is_some() {
-        eprintln!("--fault-seed/--fault-plan are an in-process chaos harness; use --transport mem");
-        std::process::exit(2);
-    }
-    if transport != "mem" && trace_out.is_some() {
-        eprintln!("--trace-out traces the in-process runtime; use --transport mem");
-        std::process::exit(2);
-    }
-    if transport != "mem" && poison_step.is_some() {
-        eprintln!("--poison-step injects into the in-process runtime; use --transport mem");
-        std::process::exit(2);
-    }
-    let elastic = elastic_spec.as_deref().map(|s| {
-        parse_elastic_plan(s).unwrap_or_else(|e| {
-            eprintln!("bad --elastic plan: {e}");
-            std::process::exit(2);
-        })
-    });
-    let outdir =
-        std::path::PathBuf::from(outdir_arg.unwrap_or_else(|| "target/mrpic_run_out".into()));
+    let peak = match &elastic {
+        Some(events) => elastic_peak(cli.ranks, events)
+            .unwrap_or_else(|e| usage_error(&format!("bad --elastic plan: {e}"))),
+        None => cli.ranks,
+    };
+    let outdir = PathBuf::from(
+        cli.outdir
+            .clone()
+            .unwrap_or_else(|| "target/mrpic_run_out".into()),
+    );
     if let Err(e) = std::fs::create_dir_all(&outdir) {
-        eprintln!("cannot create output dir {}: {e}", outdir.display());
-        std::process::exit(2);
+        usage_error(&format!(
+            "cannot create output dir {}: {e}",
+            outdir.display()
+        ));
     }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read config {path}: {e}");
-        std::process::exit(2);
-    });
-    let cfg = RunConfig::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("config error: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| usage_error(&format!("cannot read config {path}: {e}")));
+    let cfg =
+        RunConfig::from_json(&text).unwrap_or_else(|e| usage_error(&format!("config error: {e}")));
 
     // Client mode: ship the config to a running mrpic_serve and stream
     // the job back instead of executing locally.
-    if let Some(sock) = &submit {
-        if ranks > 1 || fault_plan.is_some() || trace_out.is_some() || no_lb {
-            eprintln!(
-                "--submit runs the job server-side; --ranks/--fault-*/--trace-out/--no-lb \
-                 do not apply (set them in the server or the config)"
-            );
-            std::process::exit(2);
-        }
-        if transport != "mem" || elastic.is_some() {
-            eprintln!("--submit runs the job server-side; --transport/--elastic do not apply");
-            std::process::exit(2);
-        }
-        if metrics_addr.is_some() || metrics_out.is_some() || poison_step.is_some() {
-            eprintln!(
-                "--submit runs the job server-side; scrape the server's --metrics-addr instead"
-            );
-            std::process::exit(2);
-        }
-        let spec = JobSpec {
-            tenant,
-            priority,
-            budgets: Budgets {
-                max_steps: (max_steps != u64::MAX).then_some(max_steps),
-                max_boxes: None,
-                wall_ceiling_seconds: wall_ceiling,
-            },
-            config: cfg,
-        };
-        match submit_job(sock, &spec, Some(&outdir), true) {
-            Ok(outcome) => {
-                let s = &outcome.summary;
-                println!(
-                    "job {} done: {} steps, t = {:.3e} s, {} particles, \
-                     {} preemption(s), {} resume(s); outputs in {}",
-                    s.job_id,
-                    s.steps,
-                    s.time,
-                    s.particles,
-                    s.preemptions,
-                    s.resumes,
-                    outdir.display(),
-                );
-                if s.guard_trips > 0 {
-                    eprintln!(
-                        "INVARIANT GUARD TRIPPED server-side ({} trip(s)) — see telemetry.jsonl",
-                        s.guard_trips
-                    );
-                    std::process::exit(3);
-                }
-                return;
-            }
-            Err(e @ (ClientError::Io(_) | ClientError::Rejected(_))) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            Err(e @ (ClientError::Transport(_) | ClientError::Failed(_))) => {
-                eprintln!("{e}");
-                std::process::exit(4);
-            }
-        }
+    if let Some(sock) = &cli.submit {
+        std::process::exit(submit(&cli, sock, cfg, &outdir, elastic.is_some()).code());
     }
 
     // Out-of-process transports: become a supervisor. Every rank is a
     // real `mrpic_rank` OS process; physics and outputs come from rank
     // 0's worker — this process only spawns, waits, and cleans up.
-    if transport != "mem" {
-        let code = run_process_mesh(
-            &path,
-            &outdir,
-            ranks,
-            &transport,
-            tcp_base,
-            elastic_spec.as_deref(),
-            &elastic,
-            max_steps,
-            no_lb,
-            metrics_addr.as_deref(),
-            metrics_out.as_deref(),
-            metrics_interval,
-        );
-        std::process::exit(code);
+    if cli.transport != "mem" {
+        std::process::exit(run_process_mesh(&cli, &path, &outdir, peak).code());
     }
 
-    if trace_out.is_some() {
+    if cli.trace_out.is_some() {
         mrpic::trace::enable();
     }
-    let (mut sim, removals) = cfg.build().unwrap_or_else(|e| {
-        eprintln!("config error: {e}");
-        std::process::exit(2);
-    });
+    let (mut sim, removals) = cfg
+        .build()
+        .unwrap_or_else(|e| usage_error(&format!("config error: {e}")));
     // --no-lb: run the same config with live load balancing disabled
     // (the LB-off arm of an A/B comparison on a skewed case).
-    if no_lb {
+    if cli.no_lb {
         sim.lb = None;
     } else if let Some(policy) = &sim.lb {
         let c = policy.cfg();
@@ -644,21 +486,23 @@ fn main() {
         eprintln!("warning: cannot open telemetry sink: {e}");
     }
     println!(
-        "mrpic_run: {}x{}x{} cells, {} species, {} lasers, {} particles, {ranks} rank(s), dt = {:.3e} s",
+        "mrpic_run: {}x{}x{} cells, {} species, {} lasers, {} particles, {} rank(s), dt = {:.3e} s",
         cfg.cells[0],
         cfg.cells[1],
         cfg.cells[2],
         sim.species.len(),
         sim.lasers.len(),
         sim.total_particles(),
+        cli.ranks,
         sim.dt,
     );
+    let session = RunSession::new(cfg.t_end, removals).max_steps(cli.max_steps);
     // With more than one rank, step through the distributed runtime:
     // the DistSim realigns the mapping to one shard per rank and routes
     // every exchange over the in-process transport (fault-injected when
     // a chaos plan is active).
-    let mut runner = if ranks > 1 || elastic.is_some() {
-        Runner::Dist(Box::new(match &fault_plan {
+    let exit = if cli.ranks > 1 || elastic.is_some() {
+        let mut d = match &cli.fault_plan {
             Some(plan) => {
                 println!(
                     "chaos transport: seed {}, delay {}‰, corrupt {}‰, transient {}‰, crash {:?}",
@@ -668,206 +512,20 @@ fn main() {
                     plan.transient_per_mille,
                     plan.crash,
                 );
-                DistSim::with_fault_injection(sim, ranks, plan.clone())
+                DistSim::with_fault_injection(sim, cli.ranks, plan.clone())
             }
-            None => DistSim::in_process(sim, ranks),
-        }))
-    } else {
-        Runner::Serial(Box::new(sim))
-    };
-    if let (Runner::Dist(d), Some(events)) = (&mut runner, elastic) {
-        println!(
-            "elastic plan: {} rank-count change(s) scheduled",
-            events.len()
-        );
-        d.set_elastic_plan(events);
-    }
-    // Observability plane. The flight recorder is always armed: a
-    // bounded ring of recent step/LB/fault events, written to
-    // blackbox.json only on failure or SIGUSR1. The metrics hub (and
-    // its per-rank samplers) only exists when a consumer asked for it.
-    install_recorder(FlightRecorder::new(0, outdir.join("blackbox.json"), 256));
-    install_panic_dump();
-    arm_sigusr1();
-    let hub = (metrics_addr.is_some() || metrics_out.is_some()).then(|| MetricsHub::new("run"));
-    if let (Some(hub), Some(addr)) = (&hub, metrics_addr.as_deref()) {
-        match mrpic::obs::http::serve(hub.clone(), addr) {
-            Ok(bound) => {
-                println!("metrics: http://{bound}/metrics");
-                if let Err(e) = std::fs::write(outdir.join("metrics.addr"), format!("{bound}\n")) {
-                    eprintln!("warning: cannot write metrics.addr: {e}");
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot bind metrics listener {addr}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut samplers: Vec<RankSampler> = Vec::new();
-    let mut recoveries_seen = 0usize;
-    let mut resizes_seen = 0usize;
-    let mut energy_ts = TimeSeries::new("total_energy_joules");
-    let mut removed = vec![false; removals.len()];
-    let mut lb_adoptions = 0u64;
-    // Run-mean of the per-step telemetry imbalance (max/mean busy for
-    // distributed runs, per-box cost spread for serial ones) — the
-    // load-balance A/B gate compares this across summary files.
-    let mut imb_sum = 0.0f64;
-    let mut imb_steps = 0u64;
-    let t0 = std::time::Instant::now();
-    while runner.sim().time < cfg.t_end && runner.sim().istep < max_steps {
-        // Distinguish an unrecoverable transport loss (exit 4) from a
-        // genuine bug (re-raised): the dist runtime aborts rank loss it
-        // cannot recover from via panic with a known message shape.
-        let stats = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.step())) {
-            Ok(stats) => stats,
-            Err(payload) => {
-                if let Some(msg) = transport_loss_message(payload.as_ref()) {
-                    eprintln!("TRANSPORT LOST: {msg}");
-                    with_recorder(|r| {
-                        let step = r.last_step();
-                        r.push(FlightEvent::TransportError {
-                            step,
-                            detail: msg.clone(),
-                        });
-                    });
-                    if let Some(p) = dump_recorder("transport_loss") {
-                        eprintln!("flight recorder -> {}", p.display());
-                    }
-                    std::process::exit(4);
-                }
-                std::panic::resume_unwind(payload);
-            }
+            None => DistSim::in_process(sim, cli.ranks),
         };
-        lb_adoptions += stats.rebalances;
-        // Feed the step's record to the flight recorder and (when a
-        // consumer exists) the per-rank metrics samplers.
-        if let Some(rec) = runner.sim().telemetry.records().back() {
-            with_recorder(|r| r.observe_record(rec));
-            if hub.is_some() {
-                let nranks = match &runner {
-                    Runner::Dist(d) => d.nranks(),
-                    Runner::Serial(_) => 1,
-                };
-                while samplers.len() < nranks {
-                    samplers.push(RankSampler::new(samplers.len()));
-                    samplers.last_mut().unwrap().include_registry = samplers.len() == 1;
-                }
-                samplers.truncate(nranks.max(1));
-                for s in &mut samplers {
-                    s.observe(rec);
-                }
-            }
-        }
-        if let (Some(hub), Runner::Dist(d)) = (&hub, &runner) {
-            // A shrink leaves stale ranks behind in the hub; drop them.
-            if d.resize_log.len() > resizes_seen {
-                hub.retain_ranks(d.nranks());
-            }
-        }
-        if let Runner::Dist(d) = &runner {
-            // Surface newly logged recoveries and resizes to the flight
-            // recorder; a rank crash (even a recovered one) dumps the
-            // blackbox so the incident is inspectable post-run.
-            if d.recovery_log.len() > recoveries_seen {
-                for ev in &d.recovery_log[recoveries_seen..] {
-                    with_recorder(|r| {
-                        r.push(FlightEvent::Recovery {
-                            step: ev.detected_step,
-                            dead_rank: ev.dead_rank,
-                            epoch_step: ev.epoch_step,
-                            replayed: ev.replayed,
-                        })
-                    });
-                }
-                recoveries_seen = d.recovery_log.len();
-                if let Some(p) = dump_recorder("rank_loss") {
-                    println!("flight recorder -> {}", p.display());
-                }
-            }
-            if d.resize_log.len() > resizes_seen {
-                for ev in &d.resize_log[resizes_seen..] {
-                    with_recorder(|r| {
-                        r.push(FlightEvent::Resize {
-                            step: ev.step,
-                            from: ev.from,
-                            to: ev.to,
-                        })
-                    });
-                }
-                resizes_seen = d.resize_log.len();
-            }
-        }
-        if let Some(hub) = &hub {
-            if runner.sim().istep.is_multiple_of(metrics_interval) {
-                let generation = match &runner {
-                    Runner::Dist(d) => d.resize_log.len() as u64,
-                    Runner::Serial(_) => 0,
-                };
-                for s in &mut samplers {
-                    s.set_generation(generation);
-                    hub.update_rank(s.sample());
-                }
-            }
-        }
-        if sigusr1_pending() {
-            if let Some(p) = dump_recorder("sigusr1") {
-                eprintln!("SIGUSR1: flight recorder -> {}", p.display());
-            }
-        }
-        if let Some(ps) = poison_step {
-            if runner.sim().istep == ps {
-                // Deterministic guard-trip harness: a NaN planted in Ex
-                // must surface as a trip on the next step.
-                let sim = runner.sim_mut();
-                let fab = sim.fs.e[0].fab_mut(0);
-                let lo = fab.valid_pts().lo;
-                fab.set(0, lo, f64::NAN);
-                println!("step {ps}: poisoned Ex (expect a guard trip next step)");
-            }
-        }
-        if let Some(x) = runner
-            .sim()
-            .telemetry
-            .records()
-            .back()
-            .and_then(|r| r.imbalance)
-        {
-            imb_sum += x;
-            imb_steps += 1;
-        }
-        if trace_out.is_some() {
-            // Drain the per-thread rings once per step so short-lived
-            // rank/worker threads never wrap their rings.
-            mrpic::trace::collect();
-        }
-        for (i, &tr) in removals.iter().enumerate() {
-            if !removed[i] && runner.sim().time >= tr {
-                runner.sim_mut().remove_mr_patch();
-                runner.refresh_epoch();
-                removed[i] = true;
-                println!("t = {:.3e}: MR patch removed", runner.sim().time);
-            }
-        }
-        if cfg.diag_interval > 0 && runner.sim().istep % cfg.diag_interval == 0 {
-            let (fe, ke) = runner.sim().total_energy();
-            energy_ts.push(runner.sim().time, fe + ke);
+        if let Some(events) = elastic {
             println!(
-                "step {:6} | t = {:9.3e} s | E_field = {:9.3e} J | E_kin = {:9.3e} J | np = {}",
-                runner.sim().istep,
-                runner.sim().time,
-                fe,
-                ke,
-                runner.sim().total_particles(),
+                "elastic plan: {} rank-count change(s) scheduled",
+                events.len()
             );
+            if let Err(e) = d.set_elastic_plan(events) {
+                usage_error(&format!("bad --elastic plan: {e}"));
+            }
         }
-        if runner.sim().telemetry.tripped() {
-            break;
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    if let Runner::Dist(d) = &runner {
+        let exit = run_local(&mut d, session, &cli, &cfg, &outdir);
         for ev in &d.recovery_log {
             println!(
                 "recovered from rank {} loss at step {} ({:?} phase): rolled back to step {}, \
@@ -881,20 +539,194 @@ fn main() {
                 ev.from, ev.to, ev.step
             );
         }
+        exit
+    } else {
+        run_local(&mut sim, session, &cli, &cfg, &outdir)
+    };
+    if exit != Exit::Clean {
+        std::process::exit(exit.code());
     }
-    let sim = runner.sim();
+}
+
+/// `--submit`: run the config as a job on a `mrpic_serve` server.
+fn submit(cli: &Cli, sock: &Path, cfg: RunConfig, outdir: &Path, elastic: bool) -> Exit {
+    if cli.ranks > 1 || cli.fault_plan.is_some() || cli.trace_out.is_some() || cli.no_lb {
+        usage_error(
+            "--submit runs the job server-side; --ranks/--fault-*/--trace-out/--no-lb \
+             do not apply (set them in the server or the config)",
+        );
+    }
+    if cli.transport != "mem" || elastic {
+        usage_error("--submit runs the job server-side; --transport/--elastic do not apply");
+    }
+    if cli.metrics_addr.is_some() || cli.metrics_out.is_some() || cli.poison_step.is_some() {
+        usage_error(
+            "--submit runs the job server-side; scrape the server's --metrics-addr instead",
+        );
+    }
+    let spec = JobSpec {
+        tenant: cli.tenant.clone(),
+        priority: cli.priority,
+        budgets: Budgets {
+            max_steps: (cli.max_steps != u64::MAX).then_some(cli.max_steps),
+            max_boxes: None,
+            wall_ceiling_seconds: cli.wall_ceiling,
+        },
+        config: cfg,
+    };
+    match submit_job(sock, &spec, Some(outdir), true) {
+        Ok(outcome) => {
+            let s = &outcome.summary;
+            println!(
+                "job {} done: {} steps, t = {:.3e} s, {} particles, \
+                 {} preemption(s), {} resume(s); outputs in {}",
+                s.job_id,
+                s.steps,
+                s.time,
+                s.particles,
+                s.preemptions,
+                s.resumes,
+                outdir.display(),
+            );
+            if s.guard_trips > 0 {
+                eprintln!(
+                    "INVARIANT GUARD TRIPPED server-side ({} trip(s)) — see telemetry.jsonl",
+                    s.guard_trips
+                );
+                return Exit::GuardTrip;
+            }
+            Exit::Clean
+        }
+        Err(e @ (ClientError::Io(_) | ClientError::Rejected(_))) => {
+            eprintln!("{e}");
+            Exit::Usage
+        }
+        Err(e @ (ClientError::Transport(_) | ClientError::Failed(_))) => {
+            eprintln!("{e}");
+            Exit::TransportLoss
+        }
+    }
+}
+
+/// Run the in-process stepper `s` to completion through the shared
+/// session, with this binary's observers (flight recorder, metrics
+/// samplers, `--poison-step`, trace draining, energy diagnostics), then
+/// write the run's outputs.
+fn run_local<S: Stepper>(
+    s: &mut S,
+    mut session: RunSession,
+    cli: &Cli,
+    cfg: &RunConfig,
+    outdir: &Path,
+) -> Exit {
+    // Observability plane. The flight recorder is always armed: a
+    // bounded ring of recent step/LB/fault events, written to
+    // blackbox.json only on failure or SIGUSR1. The metrics hub (and
+    // its per-rank samplers) only exists when a consumer asked for it.
+    install_recorder(FlightRecorder::new(0, outdir.join("blackbox.json"), 256));
+    install_panic_dump();
+    arm_sigusr1();
+    let hub =
+        (cli.metrics_addr.is_some() || cli.metrics_out.is_some()).then(|| MetricsHub::new("run"));
+    if let (Some(hub), Some(addr)) = (&hub, &cli.metrics_addr) {
+        serve_metrics(hub, addr, outdir);
+    }
+    let mut samplers: Vec<RankSampler> = Vec::new();
+    let mut energy_ts = TimeSeries::new("total_energy_joules");
+    let run = {
+        let mut sample = |s: &mut S| {
+            let (Some(hub), Some(rec)) = (&hub, s.sim().telemetry.records().back()) else {
+                return;
+            };
+            let nranks = s.nranks();
+            while samplers.len() < nranks {
+                let mut smp = RankSampler::new(samplers.len());
+                smp.include_registry = samplers.is_empty();
+                samplers.push(smp);
+            }
+            samplers.truncate(nranks);
+            // A shrink leaves departed ranks behind in the hub.
+            hub.retain_ranks(nranks);
+            for smp in &mut samplers {
+                smp.observe(rec);
+            }
+            if s.sim().istep.is_multiple_of(cli.metrics_interval) {
+                for smp in &mut samplers {
+                    smp.set_generation(s.resizes() as u64);
+                    hub.update_rank(smp.sample());
+                }
+            }
+        };
+        let mut poison = |s: &mut S| {
+            if cli.poison_step == Some(s.sim().istep) {
+                // Deterministic guard-trip harness: a NaN planted in Ex
+                // must surface as a trip on the next step.
+                let fab = s.sim_mut().fs.e[0].fab_mut(0);
+                let lo = fab.valid_pts().lo;
+                fab.set(0, lo, f64::NAN);
+                println!(
+                    "step {}: poisoned Ex (expect a guard trip next step)",
+                    s.sim().istep
+                );
+            }
+        };
+        // Drain the per-thread trace rings once per step so short-lived
+        // rank/worker threads never wrap them.
+        let mut trace = |_: &mut S| {
+            if cli.trace_out.is_some() {
+                mrpic::trace::collect();
+            }
+        };
+        let mut diag = |s: &mut S| {
+            let sim = s.sim();
+            if cfg.diag_interval > 0 && sim.istep.is_multiple_of(cfg.diag_interval) {
+                let (fe, ke) = sim.total_energy();
+                energy_ts.push(sim.time, fe + ke);
+                println!(
+                    "step {:6} | t = {:9.3e} s | E_field = {:9.3e} J | E_kin = {:9.3e} J | np = {}",
+                    sim.istep,
+                    sim.time,
+                    fe,
+                    ke,
+                    sim.total_particles(),
+                );
+            }
+        };
+        session.run(
+            s,
+            u64::MAX,
+            &mut [
+                &mut |s: &mut S| observe_step(s.sim()),
+                &mut sample,
+                &mut poison,
+                &mut trace,
+                &mut diag,
+            ],
+        )
+    };
+    if let Err(e) = run {
+        eprintln!("run aborted: {e}");
+        let exit = e.into();
+        if exit == Exit::TransportLoss {
+            if let Some(p) = dump_recorder("transport_loss") {
+                eprintln!("flight recorder -> {}", p.display());
+            }
+        }
+        return exit;
+    }
+    let wall = session.wall_seconds;
+    let sim = s.sim();
     println!(
         "done: {} steps in {:.1} s wall ({:.1} ms/step)",
         sim.istep,
         wall,
         1e3 * wall / sim.istep.max(1) as f64,
     );
-    let mean_imbalance = (imb_steps > 0).then(|| imb_sum / imb_steps as f64);
-    if let Some(x) = mean_imbalance {
-        println!("mean telemetry imbalance: {x:.3} over {imb_steps} step(s)");
+    if let Some(x) = session.mean_imbalance() {
+        println!("mean telemetry imbalance: {x:.3}");
     }
-    if lb_adoptions > 0 {
-        println!("live LB: adopted {lb_adoptions} rebalance(s)");
+    if session.lb_adoptions > 0 {
+        println!("live LB: adopted {} rebalance(s)", session.lb_adoptions);
     }
     let ph = sim.telemetry.phase_totals();
     println!(
@@ -909,7 +741,7 @@ fn main() {
         ph.fill,
         ph.mr,
     );
-    if let Some(tp) = &trace_out {
+    if let Some(tp) = &cli.trace_out {
         mrpic::trace::disable();
         let trace = mrpic::trace::take_trace();
         match mrpic::trace::chrome::write(&trace, tp) {
@@ -936,8 +768,7 @@ fn main() {
     // Final diagnostics. IO failures here are environment errors, not
     // physics failures: report and exit 2 rather than panic.
     let io_fail = |what: &str, e: std::io::Error| -> ! {
-        eprintln!("cannot write {what}: {e}");
-        std::process::exit(2);
+        usage_error(&format!("cannot write {what}: {e}"));
     };
     energy_ts
         .write_json(&outdir.join("energy.json"))
@@ -955,65 +786,28 @@ fn main() {
         write_field_slice(&sim.fs, pick, 0, &outdir.join(format!("{name}.csv")), 1)
             .unwrap_or_else(|e| io_fail("field slice csv", e));
     }
-    let (recoveries, resizes, final_ranks) = match &runner {
-        Runner::Dist(d) => (d.recovery_log.len(), d.resize_log.len(), d.nranks()),
-        Runner::Serial(_) => (0, 0, 1),
-    };
-    // The step the run's first failure surfaced at: a guard trip wins,
-    // else the first detected rank loss; null for a clean run. The
-    // blackbox contract asserts its last recorded step equals this.
-    let failure_step = if runner.sim().telemetry.tripped() {
-        Some(runner.sim().telemetry.trips()[0].step)
-    } else {
-        match &runner {
-            Runner::Dist(d) => d.recovery_log.first().map(|ev| ev.detected_step),
-            Runner::Serial(_) => None,
-        }
-    };
-    let sim = runner.sim();
-    let summary = serde_json::json!({
-        "ranks": ranks,
-        "final_ranks": final_ranks,
-        "steps": sim.istep,
-        "time": sim.time,
-        "wall_seconds": wall,
-        "particles": sim.total_particles(),
-        "window_x0": sim.fs.geom.x0[0],
-        "guard_trips": sim.telemetry.trips().len(),
-        "recoveries": recoveries,
-        "resizes": resizes,
-        "lb_adoptions": lb_adoptions,
-        "mean_imbalance": mean_imbalance,
-        "failure_step": failure_step,
-        "state_digest": format!("{:016x}", sim.state_digest()),
-    });
-    std::fs::write(
-        outdir.join("summary.json"),
-        serde_json::to_string_pretty(&summary).unwrap(),
-    )
-    .unwrap_or_else(|e| io_fail("summary.json", e));
+    session
+        .summary(s, cli.ranks)
+        .write(&outdir.join("summary.json"))
+        .unwrap_or_else(|e| io_fail("summary.json", e));
     // Final metrics snapshot: one last sample per rank, then the
     // one-shot JSON file when requested.
     if let Some(hub) = &hub {
-        for s in &mut samplers {
-            hub.update_rank(s.sample());
+        for smp in &mut samplers {
+            hub.update_rank(smp.sample());
         }
-        if let Some(path) = &metrics_out {
-            match hub.write_json(path) {
-                Ok(()) => println!("metrics snapshot -> {}", path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-            }
+        if let Some(path) = &cli.metrics_out {
+            write_metrics(hub, path);
         }
     }
-    let sim = runner.sim_mut();
+    let sim = s.sim_mut();
     // Flush + fsync: the run is over, its telemetry must be durable.
     sim.telemetry.sync();
     if let Some(e) = sim.telemetry.write_error() {
         eprintln!("warning: telemetry writes failed: {e}");
     }
     println!("outputs in {}", outdir.display());
-    if sim.telemetry.tripped() {
-        let t = &sim.telemetry.trips()[0];
+    if let Some(t) = sim.telemetry.trips().first() {
         eprintln!(
             "INVARIANT GUARD TRIPPED at step {}: non-finite {} on {} (box {}, after {})",
             t.step, t.component, t.grid, t.box_id, t.phase,
@@ -1021,6 +815,7 @@ fn main() {
         if let Some(p) = dump_recorder("guard_trip") {
             eprintln!("flight recorder -> {}", p.display());
         }
-        std::process::exit(3);
+        return Exit::GuardTrip;
     }
+    Exit::Clean
 }

@@ -29,7 +29,7 @@ fn step_is_bitwise_identical_across_rank_counts() {
     };
     for nranks in [1, 2, 4] {
         let mut d = DistSim::in_process(build(11, true), nranks);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         assert_sims_bitwise(&serial, &d.sim);
     }
 }
@@ -47,7 +47,7 @@ fn rebalance_adoption_migrates_boxes_and_preserves_state() {
     };
     for nranks in [2, 4] {
         let mut d = DistSim::in_process(build(7, true), nranks);
-        d.run(STEPS / 2);
+        d.run(STEPS / 2).unwrap();
         let census: usize = d.sim.parts[0].bufs.iter().map(|b| b.len()).sum();
         let prev = d.sim.dm.clone();
         d.force_rebalance();
@@ -64,7 +64,7 @@ fn rebalance_adoption_migrates_boxes_and_preserves_state() {
             d.sim.parts[0].bufs.iter().map(|b| b.len()).sum::<usize>(),
             "migration must preserve the particle census"
         );
-        d.run(STEPS / 2);
+        d.run(STEPS / 2).unwrap();
         assert_sims_bitwise(&serial, &d.sim);
     }
 }
@@ -76,7 +76,7 @@ fn recording_transport_captures_all_phases() {
     let mut sim = build(3, false);
     sim.telemetry.cfg.enabled = true;
     let (mut d, rec) = DistSim::recording(sim, 2);
-    d.run(6);
+    d.run(6).unwrap();
     d.force_rebalance();
     let msgs = rec.messages();
     for phase in [Phase::Fill, Phase::Sum, Phase::Redist, Phase::Migrate] {
@@ -111,7 +111,7 @@ fn message_schedule_is_a_golden_trace() {
             .unwrap();
         pool.install(|| {
             let (mut d, rec) = DistSim::recording(build(11, true), 2);
-            d.run(STEPS);
+            d.run(STEPS).unwrap();
             rec.schedule()
         })
     };
@@ -182,7 +182,7 @@ fn live_lb_decisions_are_deterministic_and_preserve_state() {
     for nranks in [1usize, 2, 4] {
         let run = || {
             let mut d = DistSim::in_process(build_lb(11), nranks);
-            d.run(STEPS);
+            d.run(STEPS).unwrap();
             d
         };
         let decisions = |d: &DistSim| -> Vec<LbDecision> {
@@ -224,7 +224,7 @@ fn socket_transport_matches_mem_bitwise_across_rank_counts() {
     const STEPS: usize = 24;
     let reference = {
         let mut d = DistSim::in_process(build(11, true), 2);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         d.sim
     };
     for nranks in [1usize, 2, 4] {
@@ -232,7 +232,7 @@ fn socket_transport_matches_mem_bitwise_across_rank_counts() {
         let cfg = MeshCfg::uds(dir.clone(), nranks, 0xA11CE + nranks as u64);
         let mut d = DistSim::socket_mesh(build(11, true), cfg)
             .unwrap_or_else(|e| panic!("{nranks}-rank socket mesh: {e}"));
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         assert_sims_bitwise(&reference, &d.sim);
         assert_mesh_dir_clean(&dir);
     }
@@ -247,7 +247,7 @@ fn socket_message_schedule_matches_mem_golden_trace() {
     const STEPS: usize = 10;
     let golden = {
         let (mut d, rec) = DistSim::recording(build(11, true), 2);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         rec.schedule()
     };
     assert!(!golden.is_empty(), "a 2-rank MR run must exchange messages");
@@ -256,7 +256,7 @@ fn socket_message_schedule_matches_mem_golden_trace() {
     sim.telemetry.cfg.enabled = true;
     let (mut d, rec) =
         DistSim::socket_mesh_recording(sim, MeshCfg::uds(dir.clone(), 2, 0xBEEF)).unwrap();
-    d.run(STEPS);
+    d.run(STEPS).unwrap();
     assert_eq!(
         golden,
         rec.schedule(),

@@ -2,15 +2,17 @@
 //! passes through its checkpoint-epoch barrier, cost-seeded SFC
 //! re-adoption, and transport rebuild without perturbing one bit of
 //! physics — the continued run is `.to_bits()`-identical to a fresh,
-//! uninterrupted run at the destination rank count — and a rank crash
-//! landing inside a grow window recovers cleanly through the barrier.
+//! uninterrupted run at the destination rank count — a rank crash
+//! landing inside a grow window recovers cleanly through the barrier,
+//! and a plan that would shrink below one rank is refused up front.
 
 mod common;
 
 use common::{assert_mesh_dir_clean, assert_sims_bitwise, build, mesh_dir};
+use mrpic::core::run::Exit;
 use mrpic::dist::{
-    parse_elastic_plan, CrashPoint, DistSim, ElasticAction, ElasticEvent, FaultPlan, MeshCfg,
-    ResizeEvent,
+    elastic_peak, parse_elastic_plan, CrashPoint, DistSim, ElasticAction, ElasticEvent, FaultPlan,
+    MeshCfg, ResizeEvent, StepError,
 };
 
 /// Growing 2 → 4 ranks mid-run is bitwise identical to having run on 4
@@ -20,15 +22,16 @@ fn grow_mid_run_matches_fresh_run_at_final_count() {
     const STEPS: usize = 24;
     let fresh = {
         let mut d = DistSim::in_process(build(11, true), 4);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         d
     };
     let mut d = DistSim::in_process(build(11, true), 2);
     d.set_elastic_plan(vec![ElasticEvent {
         step: 12,
         action: ElasticAction::Grow(2),
-    }]);
-    d.run(STEPS);
+    }])
+    .unwrap();
+    d.run(STEPS).unwrap();
     assert_eq!(d.nranks(), 4);
     assert_eq!(
         d.resize_log,
@@ -48,15 +51,16 @@ fn shrink_mid_run_matches_fresh_run_at_final_count() {
     const STEPS: usize = 24;
     let fresh = {
         let mut d = DistSim::in_process(build(11, true), 2);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         d
     };
     let mut d = DistSim::in_process(build(11, true), 4);
     d.set_elastic_plan(vec![ElasticEvent {
         step: 12,
         action: ElasticAction::Shrink(2),
-    }]);
-    d.run(STEPS);
+    }])
+    .unwrap();
+    d.run(STEPS).unwrap();
     assert_eq!(d.nranks(), 2);
     assert_eq!(
         d.resize_log,
@@ -80,8 +84,9 @@ fn parsed_grow_shrink_round_trip_matches_serial() {
         s
     };
     let mut d = DistSim::in_process(build(11, true), 2);
-    d.set_elastic_plan(parse_elastic_plan("shrink:16:1,grow:8:2").unwrap());
-    d.run(STEPS);
+    d.set_elastic_plan(parse_elastic_plan("shrink:16:1,grow:8:2").unwrap())
+        .unwrap();
+    d.run(STEPS).unwrap();
     assert_eq!(
         d.resize_log,
         vec![
@@ -142,8 +147,9 @@ fn crash_during_grow_barrier_recovers_cleanly() {
     d.set_elastic_plan(vec![ElasticEvent {
         step: 12,
         action: ElasticAction::Grow(2),
-    }]);
-    d.run(STEPS);
+    }])
+    .unwrap();
+    d.run(STEPS).unwrap();
     assert_eq!(
         d.resize_log,
         vec![ResizeEvent {
@@ -173,7 +179,7 @@ fn grow_over_socket_mesh_matches_fresh_run() {
     const STEPS: usize = 16;
     let fresh = {
         let mut d = DistSim::in_process(build(11, true), 3);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         d
     };
     let dir = mesh_dir("elastic-grow");
@@ -182,9 +188,43 @@ fn grow_over_socket_mesh_matches_fresh_run() {
     d.set_elastic_plan(vec![ElasticEvent {
         step: 8,
         action: ElasticAction::Grow(1),
-    }]);
-    d.run(STEPS);
+    }])
+    .unwrap();
+    d.run(STEPS).unwrap();
     assert_eq!(d.nranks(), 3);
     assert_sims_bitwise(&fresh.sim, &d.sim);
     assert_mesh_dir_clean(&dir);
+}
+
+/// A plan that would shrink below one rank is refused when it is
+/// installed — before any step runs — as a usage error naming the
+/// event, the same walk that sizes a process mesh's worker count.
+#[test]
+fn over_shrinking_plan_is_refused_before_any_step() {
+    let mut d = DistSim::in_process(build(11, true), 2);
+    let plan = parse_elastic_plan("shrink:3:2").unwrap();
+    let err = d.set_elastic_plan(plan.clone()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            StepError::OverShrink {
+                step: 3,
+                ranks: 2,
+                by: 2
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("shrink:3:2"), "{err}");
+    assert_eq!(Exit::from(err), Exit::Usage);
+    assert_eq!(elastic_peak(2, &plan).unwrap_err().exit().code(), 2);
+    assert_eq!(d.sim.istep, 0);
+    // The plan was not installed: the run proceeds at 2 ranks.
+    d.run(4).unwrap();
+    assert_eq!(d.nranks(), 2);
+    assert!(d.resize_log.is_empty());
+
+    let ok = parse_elastic_plan("grow:4:2,shrink:8:3").unwrap();
+    assert_eq!(elastic_peak(2, &ok).unwrap(), 4);
+    assert!(d.resize(0).is_err(), "resizing to zero ranks is an error");
 }

@@ -5,14 +5,20 @@
 //! bitwise identical to the unfaulted serial run. And the whole fault
 //! schedule is seeded: the same `(seed, plan)` reproduces the same
 //! injected faults, the same recovery trace, and the same final state.
+//! A loss the run cannot survive comes back from `step` as an error
+//! value that maps to exit code 4.
 
 use mrpic::core::laser::antenna_for_a0;
 use mrpic::core::mr::MrConfig;
 use mrpic::core::profile::Profile;
+use mrpic::core::run::Exit;
 use mrpic::core::sim::{ShapeOrder, Simulation, SimulationBuilder};
 use mrpic::core::species::Species;
 use mrpic::core::telemetry::FaultStats;
-use mrpic::dist::{CrashPoint, DistSim, Endpoint, FaultPlan, Phase, Tag, TransportErrorKind};
+use mrpic::dist::{
+    mem_transport, CrashPoint, DistSim, Endpoint, FaultPlan, MemEndpoint, Phase, StepError, Tag,
+    TransportError, TransportErrorKind,
+};
 use mrpic::field::fieldset::Dim;
 use mrpic::{amr::IndexBox, amr::IntVect};
 use proptest::prelude::*;
@@ -123,7 +129,7 @@ fn transient_faults_are_bitwise_invisible() {
                 nranks,
                 FaultPlan::transient(fault_seed),
             );
-            d.run(STEPS);
+            d.run(STEPS).unwrap();
             assert!(
                 d.recovery_log.is_empty(),
                 "transient faults must never escalate to recovery"
@@ -173,7 +179,7 @@ fn crash_recovery_matches_unfaulted_run() {
             }),
         };
         let mut d = DistSim::with_fault_injection(build_full(11), nranks, plan);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         assert_eq!(
             d.recovery_log.len(),
             1,
@@ -214,7 +220,7 @@ fn same_seed_and_plan_reproduce_everything() {
         sim.telemetry.cfg.enabled = true;
         let mut d = DistSim::with_fault_injection(sim, 2, plan.clone());
         d.set_epoch_interval(5);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         let per_step: Vec<Option<FaultStats>> =
             d.sim.telemetry.records().iter().map(|r| r.faults).collect();
         (d, per_step)
@@ -262,6 +268,113 @@ fn silent_peer_times_out_with_context() {
     assert_eq!((e.phase, e.seq, e.step), (Phase::Sum, 3, 9));
 }
 
+/// Every step of a chaos run that loses a rank returns `Ok` — rollback
+/// and replay happen inside `step` — and the final state digest equals
+/// the unfaulted serial run's.
+#[test]
+fn recovered_crash_steps_return_ok_with_the_unfaulted_digest() {
+    const STEPS: usize = 12;
+    let mut serial = build_light(6);
+    serial.run(STEPS);
+    let plan = FaultPlan {
+        seed: 8,
+        delay_per_mille: 10,
+        delay_us: 5,
+        corrupt_per_mille: 10,
+        transient_per_mille: 10,
+        recv_timeout_ms: 300,
+        crash: Some(CrashPoint {
+            rank: 1,
+            step: 6,
+            phase: None,
+        }),
+    };
+    let mut d = DistSim::with_fault_injection(build_light(6), 2, plan);
+    d.set_epoch_interval(4);
+    for _ in 0..STEPS {
+        d.step().unwrap();
+    }
+    assert_eq!(d.recovery_log.len(), 1);
+    assert_eq!(d.sim.state_digest(), serial.state_digest());
+}
+
+/// Rank 1's endpoint dies at step `at`: from then on its operations fail
+/// as `Crashed`, and dropping its channels lets rank 0 see `PeerLost` at
+/// once instead of waiting out a receive timeout.
+struct DiesAt {
+    inner: Option<MemEndpoint>,
+    step: u64,
+    at: u64,
+}
+
+impl DiesAt {
+    fn live(&mut self, peer: usize, tag: Tag) -> Result<&mut MemEndpoint, TransportError> {
+        if self.step >= self.at {
+            self.inner = None;
+        }
+        let step = self.step;
+        self.inner.as_mut().ok_or(TransportError::new(
+            TransportErrorKind::Crashed,
+            1,
+            peer,
+            tag,
+            step,
+        ))
+    }
+}
+
+impl Endpoint for DiesAt {
+    fn rank(&self) -> usize {
+        1
+    }
+
+    fn nranks(&self) -> usize {
+        2
+    }
+
+    fn send(&mut self, dst: usize, tag: Tag, payload: Vec<u8>) -> Result<(), TransportError> {
+        self.live(dst, tag)?.send(dst, tag, payload)
+    }
+
+    fn recv(&mut self, src: usize, tag: Tag) -> Result<Vec<u8>, TransportError> {
+        self.live(src, tag)?.recv(src, tag)
+    }
+
+    fn set_step(&mut self, step: u64) {
+        self.step = step;
+        if let Some(ep) = &mut self.inner {
+            ep.set_step(step);
+        }
+    }
+}
+
+/// A peer lost on a run with no recovery plan (no fault injection, so
+/// no checkpoint epochs) ends the run with an `Err` carrying the step,
+/// phase and dead rank, which maps to exit code 4 — a value, not a panic.
+#[test]
+fn unrecoverable_rank_loss_is_an_error_value() {
+    const AT: u64 = 3;
+    let mut eps = mem_transport(2).into_iter();
+    let ep0 = eps.next().unwrap();
+    let ep1 = DiesAt {
+        inner: eps.next(),
+        step: 0,
+        at: AT,
+    };
+    let mut d = DistSim::new(build_light(3), vec![Box::new(ep0), Box::new(ep1)]);
+    for _ in 0..AT {
+        d.step().unwrap();
+    }
+    let err = d.step().unwrap_err();
+    let StepError::RankLoss(loss) = &err else {
+        panic!("want an unrecoverable rank loss, got {err:?}");
+    };
+    assert_eq!((loss.dead_rank, loss.step), (1, AT));
+    assert_eq!(loss.error.kind, TransportErrorKind::Crashed);
+    assert!(d.recovery_log.is_empty());
+    assert_eq!(Exit::from(err).code(), 4);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -297,7 +410,7 @@ proptest! {
         serial.run(STEPS);
         let mut d = DistSim::with_fault_injection(build_light(sim_seed), nranks, plan.clone());
         d.set_epoch_interval(4);
-        d.run(STEPS);
+        d.run(STEPS).unwrap();
         if let Some(cp) = plan.crash {
             prop_assert_eq!(d.recovery_log.len(), 1);
             prop_assert_eq!(d.recovery_log[0].dead_rank, cp.rank);

@@ -62,7 +62,7 @@ fn worker_processes_match_in_process_transport_bitwise() {
     let (sim, _removals) = RunConfig::from_json(&text).unwrap().build().unwrap();
     let mut d = DistSim::in_process(sim, ranks);
     for _ in 0..STEPS {
-        d.step();
+        d.step().unwrap();
     }
     assert_eq!(
         wire_digest,

@@ -143,7 +143,7 @@ fn live_lb_decisions_ignore_rayon_thread_count() {
             .unwrap()
             .install(|| {
                 let mut d = mrpic::dist::DistSim::in_process(sim, 2);
-                d.run(20);
+                d.run(20).unwrap();
                 let decisions = d
                     .sim
                     .telemetry

@@ -70,7 +70,7 @@ fn traced_run(seed: u64, steps: usize) -> Trace {
     mrpic::trace::enable();
     let mut d = DistSim::in_process(build(seed), 2);
     for _ in 0..steps {
-        d.step();
+        d.step().unwrap();
         mrpic::trace::collect();
     }
     mrpic::trace::disable();
@@ -251,7 +251,7 @@ fn skewed_two_rank_imbalance_subtracts_recv_wait() {
     mrpic::trace::disable();
     let _ = mrpic::trace::take_trace();
     let mut d = DistSim::in_process(build(13), 2);
-    d.run(6);
+    d.run(6).unwrap();
     let rec = d.sim.telemetry.records().back().unwrap();
     assert_eq!(rec.ranks.len(), 2);
     assert!(
@@ -275,7 +275,7 @@ fn step_records_from_a_traced_run_round_trip_through_serde() {
     let _ = mrpic::trace::take_trace();
     mrpic::trace::enable();
     let mut d = DistSim::in_process(build(5), 2);
-    d.step();
+    d.step().unwrap();
     mrpic::trace::disable();
     let _ = mrpic::trace::take_trace();
     let rec = d.sim.telemetry.records().back().expect("one step recorded");

@@ -62,6 +62,21 @@ grep -q '"rank_count":4' target/tier1_smoke_elastic_out/telemetry.jsonl
 EL_DIGEST=$(grep -o '"state_digest": "[0-9a-f]*"' target/tier1_smoke_elastic_out/summary.json)
 test "$MEM_DIGEST" = "$EL_DIGEST"
 
+# Over-shrinking elastic plan: shrinking 2 ranks by 2 is a usage error,
+# refused before any worker spawns or step runs — exit exactly 2 with a
+# message naming the event, on both transports, and never a panic.
+for TRANSPORT in mem socket; do
+    set +e
+    cargo run --release --bin mrpic_run -- configs/hybrid_target_mr_2d.json \
+        target/tier1_overshrink_out --steps 6 --ranks 2 --elastic shrink:3:2 \
+        --transport "$TRANSPORT" 2> target/tier1_overshrink.stderr
+    OVERSHRINK_CODE=$?
+    set -e
+    test "$OVERSHRINK_CODE" = 2
+    grep -q 'shrink:3:2' target/tier1_overshrink.stderr
+    if grep -q panicked target/tier1_overshrink.stderr; then exit 1; fi
+done
+
 # Seeded chaos smoke: the built-in fault plan injects delays, corruption,
 # and transient failures, then crashes rank 1 at step 20; the run must
 # recover (checkpoint rollback + replay on the survivor) and exit 0, with
