@@ -498,6 +498,13 @@ impl RunConfig {
                 ));
             }
         }
+        if self.mr_patches.len() > 1 {
+            return Err(format!(
+                "mr_patches[1]: only one refinement patch is supported at a time, \
+                 got {} patches",
+                self.mr_patches.len()
+            ));
+        }
         for (i, mp) in self.mr_patches.iter().enumerate() {
             if mp.rr < 2 {
                 return Err(format!(
@@ -506,10 +513,29 @@ impl RunConfig {
                 ));
             }
             for d in 0..3 {
-                if mp.lo[d] >= mp.hi[d] && !(d == 1 && self.dim()? == Dim::Two) {
+                if mp.lo[d] >= mp.hi[d] {
                     return Err(format!(
                         "mr_patches[{i}]: lo[{d}] ({}) must be below hi[{d}] ({})",
                         mp.lo[d], mp.hi[d]
+                    ));
+                }
+                if mp.lo[d] < 0 || mp.hi[d] > self.cells[d] {
+                    return Err(format!(
+                        "mr_patches[{i}]: the patch must lie inside [0, cells), but \
+                         lo[{d}] = {} and hi[{d}] = {} with cells[{d}] = {}",
+                        mp.lo[d], mp.hi[d], self.cells[d]
+                    ));
+                }
+            }
+            if mp.subcycle {
+                // c dt < dx_fine = dx/rr requires cfl < sqrt(d)/rr.
+                let axes = if self.dim()? == Dim::Two { 2.0 } else { 3.0 };
+                let max_cfl = f64::sqrt(axes) / mp.rr as f64;
+                if self.cfl >= max_cfl {
+                    return Err(format!(
+                        "mr_patches[{i}]: subcycling at rr = {} needs cfl < {max_cfl:.3}, \
+                         got {} (particle moves must stay below one fine cell)",
+                        mp.rr, self.cfl
                     ));
                 }
             }
@@ -799,6 +825,52 @@ mod tests {
         cfg.mr_patches[0].rr = 2;
         cfg.mr_patches[0].hi[0] = cfg.mr_patches[0].lo[0];
         assert!(cfg.validate().unwrap_err().contains("lo[0]"));
+    }
+
+    /// Both `validate()` and `build()` refuse `cfg` with a message
+    /// naming `want`.
+    fn assert_rejected(cfg: &RunConfig, want: &str) {
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains(want), "{err}");
+        let err = cfg.build().err().unwrap();
+        assert!(err.contains(want), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_patch_outside_domain() {
+        let mut cfg = RunConfig::from_json(SAMPLE).unwrap();
+        cfg.mr_patches[0].hi[0] = 65; // cells[0] = 64
+        assert_rejected(&cfg, "mr_patches[0]: the patch must lie inside [0, cells)");
+        cfg.mr_patches[0].hi[0] = 48;
+        cfg.mr_patches[0].lo[2] = -1;
+        assert_rejected(&cfg, "mr_patches[0]: the patch must lie inside [0, cells)");
+        // In 2d the patch spans the single y cell.
+        cfg.mr_patches[0].lo[2] = 0;
+        cfg.mr_patches[0].hi[1] = 0;
+        assert_rejected(&cfg, "mr_patches[0]: lo[1] (0) must be below hi[1] (0)");
+    }
+
+    #[test]
+    fn validate_rejects_second_patch() {
+        let mut cfg = RunConfig::from_json(SAMPLE).unwrap();
+        let second = cfg.mr_patches[0].clone();
+        cfg.mr_patches.push(second);
+        assert_rejected(&cfg, "mr_patches[1]: only one refinement patch");
+    }
+
+    #[test]
+    fn validate_rejects_subcycling_above_fine_courant_limit() {
+        // 2d at rr = 2: subcycling needs cfl < sqrt(2)/2 ~ 0.707.
+        let mut cfg = RunConfig::from_json(SAMPLE).unwrap();
+        cfg.mr_patches[0].subcycle = true;
+        cfg.validate().unwrap();
+        cfg.cfl = 0.8;
+        assert_rejected(
+            &cfg,
+            "mr_patches[0]: subcycling at rr = 2 needs cfl < 0.707",
+        );
+        cfg.mr_patches[0].subcycle = false;
+        cfg.validate().unwrap();
     }
 
     #[test]

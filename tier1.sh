@@ -11,6 +11,11 @@ cargo build --release
 # scalar bitwise identity, f64 and f32) fail in seconds when a kernel
 # change is bad, before the full workspace build/test cycle below.
 cargo test -q -p mrpic-kernels
+# MR fast lane: the `mr` module's unit tests, which hold build_aux and
+# couple_currents bit for bit against their reference (oracle) bodies
+# on 2-D/3-D multi-box levels, fail in seconds when an MR sweep change
+# moves a bit.
+cargo test -q -p mrpic-core --lib mr::
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
