@@ -23,7 +23,7 @@ pub struct PlanItem {
 }
 
 /// A full exchange plan for one (BoxArray, stagger, ngrow, periodicity).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExchangePlan {
     pub items: Vec<PlanItem>,
 }

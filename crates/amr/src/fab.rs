@@ -293,8 +293,71 @@ impl Fab {
 
     /// Shift the data of every component by `s` points (used by the moving
     /// window): destination point `p` takes the value previously at
-    /// `p + s`; points with no source are zeroed.
+    /// `p + s`; points with no source are zeroed. Runs in place.
     pub fn shift_data(&mut self, s: IntVect) {
+        if s == IntVect::ZERO {
+            return;
+        }
+        let keep = self.pbox.intersect(&self.pbox.shift(-s));
+        self.shift_keep(s, keep);
+    }
+
+    /// In-place shift of every component by `s` points: each point `p` of
+    /// `keep` takes the value previously at `p + s`, and every other
+    /// stored point (guards included) becomes `0.0`. `keep` and
+    /// `keep + s` must lie inside the grown point box, so the move is one
+    /// `copy_within` per component by the linear offset of `s`.
+    pub(crate) fn shift_keep(&mut self, s: IntVect, keep: Option<IndexBox>) {
+        let Some(k) = keep else {
+            self.data.fill(0.0);
+            return;
+        };
+        debug_assert!(self.pbox.contains_box(&k) && self.pbox.contains_box(&k.shift(s)));
+        let ix = self.indexer();
+        let first = ix.at(k.lo.x, k.lo.y, k.lo.z);
+        let from = ix.at(k.lo.x + s.x, k.lo.y + s.y, k.lo.z + s.z);
+        let len = ix.at(k.hi.x - 1, k.hi.y - 1, k.hi.z - 1) + 1 - first;
+        let w = (k.hi.x - k.lo.x) as usize;
+        for c in 0..self.ncomp {
+            let comp = self.comp_mut(c);
+            comp.copy_within(from..from + len, first);
+            // Zero the gaps between `keep`'s rows in linear order: the
+            // memmove carried wrapped or out-of-`keep` values there.
+            let mut next = 0;
+            for kz in k.lo.z..k.hi.z {
+                for j in k.lo.y..k.hi.y {
+                    let row = ix.at(k.lo.x, j, kz);
+                    comp[next..row].fill(0.0);
+                    next = row + w;
+                }
+            }
+            comp[next..].fill(0.0);
+        }
+    }
+
+    /// Raw storage (testing/diagnostics).
+    #[inline]
+    pub fn raw(&self) -> &[f64] {
+        &self.data
+    }
+
+    #[inline]
+    pub fn raw_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Bytes of payload (for communication accounting).
+    #[inline]
+    pub fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f64>()
+    }
+}
+
+#[cfg(test)]
+impl Fab {
+    /// The pre-in-place `shift_data` body (a fresh zeroed copy per
+    /// component), kept as the bitwise oracle.
+    pub(crate) fn shift_data_oracle(&mut self, s: IntVect) {
         if s == IntVect::ZERO {
             return;
         }
@@ -321,21 +384,19 @@ impl Fab {
         }
     }
 
-    /// Raw storage (testing/diagnostics).
-    #[inline]
-    pub fn raw(&self) -> &[f64] {
-        &self.data
-    }
-
-    #[inline]
-    pub fn raw_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Bytes of payload (for communication accounting).
-    #[inline]
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
+    /// Deterministic data over every stored point (guards included),
+    /// with plenty of `+0.0` / `-0.0` entries.
+    pub(crate) fn scramble(&mut self, mut seed: u64) {
+        for v in &mut self.data {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *v = match seed >> 61 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+            };
+        }
     }
 }
 
@@ -412,6 +473,46 @@ mod tests {
         assert_eq!(f.get(0, IntVect::new(3, 1, 1)), 0.0);
         // The newly exposed high-x guard plane is zero.
         assert_eq!(f.get(0, IntVect::new(5, 1, 1)), 0.0);
+    }
+
+    fn bits(f: &Fab) -> Vec<u64> {
+        f.raw().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn shift_data_matches_oracle_bitwise() {
+        let cases = [
+            (IntVect::new(6, 1, 5), IntVect::new(2, 0, 2)),
+            (IntVect::new(5, 4, 3), IntVect::new(2, 1, 2)),
+        ];
+        let mut seed = 7;
+        for (size, ngrow) in cases {
+            for stagger in [Stagger::CELL, Stagger::NODAL, Stagger::EX, Stagger::BZ] {
+                let cells = IndexBox::new(IntVect::new(3, 0, -2), IntVect::new(3, 0, -2) + size);
+                let mut shifts = vec![IntVect::new(40, 0, 0), IntVect::new(-3, 0, -17)];
+                for d in 0..3 {
+                    for m in [-2, -1, 1, 2] {
+                        let mut s = IntVect::ZERO;
+                        s[d] = m;
+                        shifts.push(s);
+                    }
+                }
+                shifts.push(IntVect::new(1, 0, -2));
+                for s in shifts {
+                    let mut a = Fab::new_vec(cells, stagger, 2, ngrow);
+                    seed += 1;
+                    a.scramble(seed);
+                    let mut b = a.clone();
+                    a.shift_data(s);
+                    b.shift_data_oracle(s);
+                    assert_eq!(bits(&a), bits(&b), "{stagger:?} size {size:?} s {s:?}");
+                    // A second shift on the moved data.
+                    a.shift_data(-s);
+                    b.shift_data_oracle(-s);
+                    assert_eq!(bits(&a), bits(&b), "{stagger:?} size {size:?} -s {s:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::{
     boxarray::BoxArray,
-    comm::{CommStats, ExchangePlan},
+    comm::{CommStats, ExchangePlan, PlanItem},
     fab::Fab,
     ibox::IndexBox,
     ivec::IntVect,
@@ -80,13 +80,70 @@ struct CachedPlan {
     plan: ExchangePlan,
 }
 
-/// Per-array cache of fill/sum exchange plans. Plans depend only on the
-/// box layout, stagger, guard widths, and periodicity, so once built they
-/// stay valid until the layout generation changes.
+/// The moving-window layout of a multi-fab [`FabArray::shift_data`] by
+/// `s`, cached under `(generation, s)`:
+/// - `keep[i]`: the points of fab `i` whose source `p + s` lies in its
+///   own valid region, moved in place;
+/// - `seams`: for every other destination point whose source some fab
+///   covers, the source region (source indices, destination at
+///   `region + shift`, `shift = -s`) of the *last* fab in index order
+///   holding it. The pieces are disjoint and overwrite `keep` where a
+///   later fab owns the source.
+#[derive(Clone, Debug)]
+struct ShiftPlan {
+    generation: u64,
+    s: IntVect,
+    keep: Vec<Option<IndexBox>>,
+    seams: Vec<PlanItem>,
+}
+
+impl ShiftPlan {
+    fn new(fabs: &[Fab], s: IntVect, generation: u64) -> Self {
+        let valid: Vec<IndexBox> = fabs.iter().map(Fab::valid_pts).collect();
+        let keep = valid.iter().map(|v| v.intersect(&v.shift(-s))).collect();
+        let mut seams = Vec::new();
+        for (dst, dv) in valid.iter().enumerate() {
+            let want = dv.shift(s);
+            for (src, sv) in valid.iter().enumerate() {
+                if src == dst {
+                    continue;
+                }
+                let Some(r) = sv.intersect(&want) else {
+                    continue;
+                };
+                // Later fabs (the destination's own included) own their
+                // shared points.
+                let mut pieces = vec![r];
+                for later in &valid[src + 1..] {
+                    pieces = pieces.iter().flat_map(|p| p.subtract(later)).collect();
+                }
+                seams.extend(pieces.into_iter().map(|region| PlanItem {
+                    src,
+                    dst,
+                    shift: -s,
+                    region,
+                }));
+            }
+        }
+        Self {
+            generation,
+            s,
+            keep,
+            seams,
+        }
+    }
+}
+
+/// Per-array cache of fill/sum exchange plans and of the window-shift
+/// layout. Plans depend only on the box layout, stagger, guard widths,
+/// and periodicity (plus the shift vector for `shift`), so once built
+/// they stay valid until the layout generation changes. A window shift
+/// moves data inside the fixed index space and so keeps them all.
 #[derive(Clone, Debug, Default)]
 struct PlanCache {
     fill: Option<CachedPlan>,
     sum: Option<CachedPlan>,
+    shift: Option<ShiftPlan>,
 }
 
 /// A multi-component staggered field over all boxes of a [`BoxArray`].
@@ -144,8 +201,7 @@ impl FabArray {
     /// (e.g. a rebalance that reassigns box ownership).
     pub fn invalidate_plans(&mut self) {
         self.generation = self.generation.wrapping_add(1);
-        self.plans.fill = None;
-        self.plans.sum = None;
+        self.plans = PlanCache::default();
     }
 
     #[inline]
@@ -341,59 +397,49 @@ impl FabArray {
     }
 
     /// Shift all data by `s` points across the whole array (moving
-    /// window): new value at point `p` = old global value at `p + s`;
-    /// uncovered points become 0. Guards are left stale — call
-    /// `fill_boundary` afterwards. Bumps the layout generation so cached
-    /// exchange plans are rebuilt conservatively.
+    /// window): new value at valid point `p` = old value at `p + s` of the
+    /// last box (in index order) whose valid region holds it; uncovered
+    /// points and guards become 0 — call `fill_boundary` afterwards. A
+    /// single-box array shifts its whole grown box instead. Runs in place
+    /// (one memmove per component plus the cross-box seam pieces) and
+    /// keeps every cached exchange plan: the layout does not change.
     pub fn shift_data(&mut self, s: IntVect) {
         if s == IntVect::ZERO {
             return;
         }
-        self.invalidate_plans();
         if self.fabs.len() == 1 {
             self.fabs[0].shift_data(s);
             return;
         }
+        let plan = match self.plans.shift.take() {
+            Some(p) if p.generation == self.generation && p.s == s => p,
+            _ => ShiftPlan::new(&self.fabs, s, self.generation),
+        };
         let Self {
-            fabs,
-            xbuf,
-            clips,
-            ncomp,
-            ..
+            fabs, xbuf, ncomp, ..
         } = self;
         let ncomp = *ncomp;
+        // Pack the seam pieces from the pre-shift data, move every fab in
+        // place, then write the pieces.
         xbuf.clear();
-        clips.clear();
-        // Phase 1: pack every (dst, src) valid-region overlap from the
-        // pre-shift data (regions stored in source indices).
-        let n = fabs.len();
-        for dst in fabs.iter() {
-            let want = dst.valid_pts().shift(s);
-            for src in fabs.iter() {
-                let r = src.valid_pts().intersect(&want);
-                if let Some(r) = &r {
-                    for c in 0..ncomp {
-                        pack_region_into(src, c, r, xbuf);
-                    }
-                }
-                clips.push(r);
+        for it in &plan.seams {
+            for c in 0..ncomp {
+                pack_region_into(&fabs[it.src], c, &it.region, xbuf);
             }
         }
-        // Phase 2: zero everything, then unpack shifted data.
+        for (fab, keep) in fabs.iter_mut().zip(&plan.keep) {
+            fab.shift_keep(s, *keep);
+        }
         let mut off = 0usize;
-        for (di, dst) in fabs.iter_mut().enumerate() {
-            dst.fill(0.0);
-            for si in 0..n {
-                let Some(r) = &clips[di * n + si] else {
-                    continue;
-                };
-                let npts = r.num_cells() as usize;
-                for c in 0..ncomp {
-                    blend_region_from_buf(dst, c, r, -s, &xbuf[off..off + npts], |_, v| v);
-                    off += npts;
-                }
+        for it in &plan.seams {
+            let npts = it.region.num_cells() as usize;
+            for c in 0..ncomp {
+                let v = &xbuf[off..off + npts];
+                blend_region_from_buf(&mut fabs[it.dst], c, &it.region, it.shift, v, |_, v| v);
+                off += npts;
             }
         }
+        self.plans.shift = Some(plan);
     }
 
     /// Regions of points *owned* by box `i`: its valid points minus points
@@ -668,11 +714,183 @@ mod tests {
         // A different periodicity is a different key.
         fa.fill_boundary(&Periodicity::all(dom()));
         assert_eq!(fa.stats().plan_builds, 3);
-        // Window shifts invalidate cached plans.
+        // Window shifts keep the layout, so every cached plan survives.
+        let generation = fa.generation();
         fa.shift_data(IntVect::new(1, 0, 0));
+        fa.shift_data(IntVect::new(-2, 0, 0));
+        assert_eq!(fa.generation(), generation);
+        fa.fill_boundary(&Periodicity::all(dom()));
+        fa.sum_boundary(&p);
+        assert_eq!(fa.stats().plan_builds, 3);
+        // An explicit invalidation still forces a rebuild.
+        fa.invalidate_plans();
         fa.fill_boundary(&Periodicity::all(dom()));
         assert_eq!(fa.stats().plan_builds, 4);
         assert!(fa.stats().seconds >= 0.0);
+    }
+
+    /// The pre-in-place multi-box `shift_data` body (whole-array pack,
+    /// zero, unpack), kept as the bitwise oracle.
+    fn shift_data_oracle(fa: &mut FabArray, s: IntVect) {
+        if s == IntVect::ZERO {
+            return;
+        }
+        if fa.fabs.len() == 1 {
+            fa.fabs[0].shift_data_oracle(s);
+            return;
+        }
+        let ncomp = fa.ncomp;
+        let fabs = &mut fa.fabs;
+        let mut xbuf = Vec::new();
+        let mut clips = Vec::new();
+        let n = fabs.len();
+        for dst in fabs.iter() {
+            let want = dst.valid_pts().shift(s);
+            for src in fabs.iter() {
+                let r = src.valid_pts().intersect(&want);
+                if let Some(r) = &r {
+                    for c in 0..ncomp {
+                        pack_region_into(src, c, r, &mut xbuf);
+                    }
+                }
+                clips.push(r);
+            }
+        }
+        let mut off = 0usize;
+        for (di, dst) in fabs.iter_mut().enumerate() {
+            dst.fill(0.0);
+            for si in 0..n {
+                let Some(r) = &clips[di * n + si] else {
+                    continue;
+                };
+                let npts = r.num_cells() as usize;
+                for c in 0..ncomp {
+                    blend_region_from_buf(dst, c, r, -s, &xbuf[off..off + npts], |_, v| v);
+                    off += npts;
+                }
+            }
+        }
+    }
+
+    fn bits(fa: &FabArray) -> Vec<u64> {
+        fa.fabs()
+            .iter()
+            .flat_map(|f| f.raw().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// Shifts of ±1 and ±2 along every axis, a diagonal one, and one
+    /// larger than a box.
+    fn oracle_shifts() -> Vec<IntVect> {
+        let mut out = vec![IntVect::new(1, 0, -2), IntVect::new(-5, 0, 3)];
+        for d in 0..3 {
+            for m in [-2, -1, 1, 2] {
+                let mut s = IntVect::ZERO;
+                s[d] = m;
+                out.push(s);
+            }
+        }
+        out
+    }
+
+    /// Every stored point of `fa` after `shift_data` equals the oracle
+    /// bit for bit, over three shifts in a row on the same array: the
+    /// second reuses the cached piece list, the third re-keys it.
+    fn check_against_oracle(fa: &FabArray, seed: u64, what: &str) {
+        for s in oracle_shifts() {
+            let mut a = fa.clone();
+            // Guards hold junk the shift must overwrite.
+            for (i, fab) in a.fabs_mut().iter_mut().enumerate() {
+                fab.scramble(seed * 1000 + i as u64);
+            }
+            let mut b = a.clone();
+            for (round, t) in [s, s, -s].into_iter().enumerate() {
+                a.shift_data(t);
+                shift_data_oracle(&mut b, t);
+                assert_eq!(bits(&a), bits(&b), "{what}: s {t:?} round {round}");
+            }
+        }
+    }
+
+    fn all_staggers() -> [Stagger; 8] {
+        [
+            Stagger::CELL,
+            Stagger::NODAL,
+            Stagger::EX,
+            Stagger::EY,
+            Stagger::EZ,
+            Stagger::BX,
+            Stagger::BY,
+            Stagger::BZ,
+        ]
+    }
+
+    #[test]
+    fn shift_data_matches_oracle_3d_multibox() {
+        // Uneven boxes so shared nodal faces and seams fall everywhere.
+        let dom = IndexBox::from_size(IntVect::new(10, 7, 6));
+        let ba = BoxArray::chop(dom, IntVect::new(4, 3, 4));
+        assert!(ba.len() > 4);
+        for (i, st) in all_staggers().into_iter().enumerate() {
+            let fa = FabArray::new_vec(ba.clone(), st, 2, IntVect::new(2, 1, 2));
+            check_against_oracle(&fa, 100 + i as u64, &format!("3d {st:?}"));
+        }
+    }
+
+    #[test]
+    fn shift_data_matches_oracle_2d_multibox() {
+        // Collapsed y with zero y guards, as the 2-D field sets use.
+        let dom = IndexBox::from_size(IntVect::new(12, 1, 9));
+        let ba = BoxArray::chop(dom, IntVect::new(4, 1, 4));
+        for (i, st) in all_staggers().into_iter().enumerate() {
+            let fa = FabArray::new_vec(ba.clone(), st, 1, IntVect::new(3, 0, 3));
+            check_against_oracle(&fa, 200 + i as u64, &format!("2d {st:?}"));
+        }
+    }
+
+    #[test]
+    fn shift_data_matches_oracle_pml_slabs() {
+        // A PML-style shell: disjoint slabs around an interior hole.
+        let slabs = vec![
+            IndexBox::new(IntVect::new(-4, 0, -4), IntVect::new(0, 1, 12)),
+            IndexBox::new(IntVect::new(16, 0, -4), IntVect::new(20, 1, 12)),
+            IndexBox::new(IntVect::new(0, 0, -4), IntVect::new(16, 1, 0)),
+            IndexBox::new(IntVect::new(0, 0, 8), IntVect::new(16, 1, 12)),
+        ];
+        let ba = BoxArray::from_boxes(slabs);
+        for (i, st) in all_staggers().into_iter().enumerate() {
+            let fa = FabArray::new_vec(ba.clone(), st, 2, IntVect::new(2, 0, 2));
+            check_against_oracle(&fa, 300 + i as u64, &format!("pml {st:?}"));
+        }
+    }
+
+    #[test]
+    fn shift_data_matches_oracle_single_box() {
+        for (i, st) in [Stagger::CELL, Stagger::NODAL, Stagger::EX, Stagger::BZ]
+            .into_iter()
+            .enumerate()
+        {
+            let fa = FabArray::new(BoxArray::single(dom()), st, 2, 2);
+            check_against_oracle(&fa, 400 + i as u64, &format!("single {st:?}"));
+            let flat = IndexBox::from_size(IntVect::new(9, 1, 5));
+            let fa = FabArray::new_vec(BoxArray::single(flat), st, 1, IntVect::new(2, 0, 2));
+            check_against_oracle(&fa, 500 + i as u64, &format!("single 2d {st:?}"));
+        }
+    }
+
+    #[test]
+    fn shift_reuses_cached_piece_list() {
+        let mut fa = mk(1, Stagger::NODAL);
+        fa.shift_data(IntVect::new(1, 0, 0));
+        let first = fa.plans.shift.as_ref().unwrap().seams.clone();
+        assert!(!first.is_empty());
+        fa.shift_data(IntVect::new(1, 0, 0));
+        assert_eq!(fa.plans.shift.as_ref().unwrap().seams, first);
+        // A different shift vector is a different key.
+        fa.shift_data(IntVect::new(0, 0, 2));
+        let plan = fa.plans.shift.as_ref().unwrap();
+        assert_eq!(plan.s, IntVect::new(0, 0, 2));
+        assert_ne!(plan.seams, first);
     }
 
     #[test]

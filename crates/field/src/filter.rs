@@ -11,7 +11,8 @@ use mrpic_amr::FabArray;
 
 /// One binomial pass along axis `d` over the valid region of every fab.
 /// Guard values must be filled (call after `sum_boundary` + a fill).
-fn pass_axis(fa: &mut FabArray, d: usize) {
+/// `snapshot` is reused scratch for the pre-pass values.
+fn pass_axis(fa: &mut FabArray, d: usize, snapshot: &mut Vec<f64>) {
     for fi in 0..fa.nfabs() {
         let fab = fa.fab_mut(fi);
         let vb = fab.valid_pts();
@@ -24,7 +25,8 @@ fn pass_axis(fa: &mut FabArray, d: usize) {
         let data = fab.comp_mut(0);
         // Work row-by-row so the original neighbor values are used
         // (snapshot one row at a time along the filtered axis).
-        let snapshot: Vec<f64> = data.to_vec();
+        snapshot.clear();
+        snapshot.extend_from_slice(data);
         for k in vb.lo.z..vb.hi.z {
             for j in vb.lo.y..vb.hi.y {
                 let row = ix.at(vb.lo.x, j, k);
@@ -47,13 +49,16 @@ pub fn filter_current(fs: &mut FieldSet, passes: usize) {
     }
     let period = fs.period;
     let axes: Vec<usize> = fs.dim.axes().to_vec();
+    // Sized once for the largest fab, so no pass reallocates.
+    let fabs = fs.j.iter().flat_map(FabArray::fabs);
+    let mut snapshot = Vec::with_capacity(fabs.map(|f| f.comp(0).len()).max().unwrap_or(0));
     for _ in 0..passes {
         for c in 0..3 {
             for &d in &axes {
                 // Guards must be fresh for every axis pass: an earlier
                 // pass changed the values the neighbors provide.
                 fs.j[c].fill_boundary(&period);
-                pass_axis(&mut fs.j[c], d);
+                pass_axis(&mut fs.j[c], d, &mut snapshot);
             }
         }
     }

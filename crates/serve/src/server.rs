@@ -41,6 +41,7 @@ use crate::queue::{FairQueue, QueuedJob};
 use mrpic_obs::{JobMetrics, MetricsHub, ServeMetrics, TenantMetrics};
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -54,8 +55,38 @@ static TERM_FLAG: AtomicBool = AtomicBool::new(false);
 
 type SigHandler = extern "C" fn(i32);
 
+/// `struct pollfd` of poll(2).
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 1;
+
+/// How long the accept loop waits for a connection before it re-checks
+/// the stop flags.
+const ACCEPT_POLL_MS: i32 = 25;
+
 extern "C" {
     fn signal(signum: i32, handler: SigHandler) -> usize;
+    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
+}
+
+/// Block until `listener` has a pending connection, `timeout_ms` passes,
+/// or a signal interrupts the wait; the caller re-checks its stop flags
+/// and retries `accept` in every case.
+fn wait_acceptable(listener: &UnixListener, timeout_ms: i32) {
+    let mut pfd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `pfd` is one valid pollfd that outlives the call.
+    unsafe {
+        poll(&mut pfd, 1, timeout_ms);
+    }
 }
 
 extern "C" fn on_termination(_signum: i32) {
@@ -399,14 +430,14 @@ impl Server {
                         scope.spawn(move || conn_loop(shared, stream, slots, quantum));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
+                        wait_acceptable(&listener, ACCEPT_POLL_MS);
                     }
                     Err(e) => {
                         shared
                             .lock()
                             .log
                             .event("accept_error", &[("error", jstr(&e.to_string()))]);
-                        std::thread::sleep(Duration::from_millis(25));
+                        std::thread::sleep(Duration::from_millis(ACCEPT_POLL_MS as u64));
                     }
                 }
             }

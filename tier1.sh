@@ -16,6 +16,11 @@ cargo test -q -p mrpic-kernels
 # on 2-D/3-D multi-box levels, fail in seconds when an MR sweep change
 # moves a bit.
 cargo test -q -p mrpic-core --lib mr::
+# AMR fast lane: the mesh crate's tests, which hold the in-place
+# moving-window `shift_data` bit for bit against its reference (oracle)
+# bodies (cell/nodal, 2-D/3-D, PML slabs, single box), fail in seconds
+# when a shift or exchange change moves a bit.
+cargo test -q -p mrpic-amr
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
