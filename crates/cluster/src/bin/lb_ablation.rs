@@ -23,12 +23,10 @@
 //! run costs on each real backend.
 
 use mrpic_amr::{BoxArray, IndexBox, IntVect};
-use mrpic_cluster::lb::{
-    compare_strategies, multilevel_lb, pml_colocation_gain, solid_slab_costs, trace_comm_times,
-    trace_step_comm_time,
-};
+use mrpic_cluster::lb::{compare_strategies, multilevel_lb, pml_colocation_gain, solid_slab_costs};
 use mrpic_cluster::machine::Network;
 use mrpic_cluster::tables::print_table;
+use mrpic_core::balance::{comm_time_model, comm_times};
 use mrpic_core::laser::antenna_for_a0;
 use mrpic_core::profile::Profile;
 use mrpic_core::sim::{ShapeOrder, SimulationBuilder};
@@ -99,7 +97,7 @@ fn trace_mode(backend: &str, net: Network) {
         .collect();
     print_table(&["rank pair", "bytes"], &rows);
     let (lat, bw) = (net.latency, net.bw_per_node);
-    let times = trace_comm_times(&pairs, NRANKS, lat, bw);
+    let times = comm_times(&pairs, NRANKS, lat, bw);
     println!(
         "\nper-rank comm seconds over the whole trace ({backend}: {:.1} us latency, {:.0} GB/s):",
         lat * 1e6,
@@ -110,7 +108,7 @@ fn trace_mode(backend: &str, net: Network) {
     }
     println!(
         "bulk-synchronous comm time: {:.3e} s/step measured-trace replay",
-        trace_step_comm_time(&pairs, NRANKS, lat, bw) / STEPS as f64
+        comm_time_model(&pairs, NRANKS, lat, bw) / STEPS as f64
     );
     // The recorder also times every blocking receive, so alongside the
     // modeled wire cost we can price what the run *actually* waited:
@@ -179,7 +177,7 @@ fn trace_file_mode(path: &str, backend: &str, net: Network) {
         .collect();
     print_table(&["rank pair", "bytes"], &rows);
     let (lat, bw) = (net.latency, net.bw_per_node);
-    let times = trace_comm_times(&pairs, nranks, lat, bw);
+    let times = comm_times(&pairs, nranks, lat, bw);
     println!(
         "\nper-rank comm seconds over the whole trace ({backend}: {:.1} us latency, {:.0} GB/s):",
         lat * 1e6,
@@ -190,7 +188,7 @@ fn trace_file_mode(path: &str, backend: &str, net: Network) {
     }
     println!(
         "bulk-synchronous comm time: {:.3e} s/step measured-trace replay",
-        trace_step_comm_time(&pairs, nranks, lat, bw) / steps as f64
+        comm_time_model(&pairs, nranks, lat, bw) / steps as f64
     );
     // Real blocked time, straight from the recv_wait spans — no model.
     let waits = mrpic_trace::analysis::recv_wait_seconds(&trace, nranks);

@@ -88,46 +88,6 @@ pub fn dynamic_lb_speedup(
     blind / balanced
 }
 
-/// Per-rank communication time from a *measured* message trace — ordered
-/// `(src, dst, bytes)` pair totals, e.g. from the recording transport of
-/// `mrpic-dist` — instead of a modeled halo volume. Each rank pays one
-/// `latency` per peer it exchanges with (send or receive) and moves the
-/// heavier of its send and receive volumes at `bandwidth` (full-duplex
-/// NICs overlap the two directions). Returns per-rank seconds.
-pub fn trace_comm_times(
-    pair_bytes: &[(usize, usize, u64)],
-    nranks: usize,
-    latency: f64,
-    bandwidth: f64,
-) -> Vec<f64> {
-    let mut sent = vec![0u64; nranks];
-    let mut recv = vec![0u64; nranks];
-    let mut peers = vec![0usize; nranks];
-    for &(s, d, b) in pair_bytes {
-        assert!(s < nranks && d < nranks, "rank out of range in trace");
-        sent[s] += b;
-        recv[d] += b;
-        peers[s] += 1;
-        peers[d] += 1;
-    }
-    (0..nranks)
-        .map(|r| peers[r] as f64 * latency + sent[r].max(recv[r]) as f64 / bandwidth)
-        .collect()
-}
-
-/// Bulk-synchronous communication time of a traced step: the slowest
-/// rank gates everyone.
-pub fn trace_step_comm_time(
-    pair_bytes: &[(usize, usize, u64)],
-    nranks: usize,
-    latency: f64,
-    bandwidth: f64,
-) -> f64 {
-    trace_comm_times(pair_bytes, nranks, latency, bandwidth)
-        .into_iter()
-        .fold(0.0, f64::max)
-}
-
 /// PML co-location: each PML patch exchanges `pml_bytes` with its parent
 /// box every step. Co-locating removes that traffic from the network.
 /// Returns (time without co-location, time with) in arbitrary units.
@@ -193,19 +153,6 @@ mod tests {
             16,
         );
         assert!(s > 2.0 && s < 8.0, "speedup {s}");
-    }
-
-    #[test]
-    fn trace_costing_charges_latency_and_volume() {
-        // Rank 0 talks to both peers, rank 1 only to rank 0.
-        let trace = [(0usize, 1usize, 8_000u64), (1, 0, 2_000), (0, 2, 1_000)];
-        let t = trace_comm_times(&trace, 3, 1e-6, 1e9);
-        // Rank 0: 3 message-pair touches, max(9000 sent, 2000 recv) bytes.
-        assert!((t[0] - (3.0 * 1e-6 + 9_000.0 / 1e9)).abs() < 1e-12);
-        // Rank 2 only receives.
-        assert!((t[2] - (1.0 * 1e-6 + 1_000.0 / 1e9)).abs() < 1e-12);
-        let step = trace_step_comm_time(&trace, 3, 1e-6, 1e9);
-        assert_eq!(step, t[0].max(t[1]).max(t[2]));
     }
 
     #[test]

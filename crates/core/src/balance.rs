@@ -236,23 +236,23 @@ pub struct LbDecision {
     pub realized_imbalance: Option<f64>,
 }
 
-/// Bulk-synchronous cost of shipping `pair_bytes` = `(src, dst, bytes)`
-/// migrations: per rank, one latency charge per message-pair touch plus
-/// `max(sent, recv)` volume over the link bandwidth; the slowest rank
-/// gates the step. This mirrors `mrpic_cluster::lb::trace_comm_times`
-/// (core cannot depend on the cluster crate); a cross-check test in the
-/// umbrella crate keeps the two models numerically identical.
-pub fn comm_time_model(
+/// Per-rank communication time of `pair_bytes` = `(src, dst, bytes)`
+/// traffic — planned box migrations, or a measured message trace. Each
+/// rank pays one `latency` per message-pair touch (send or receive) and
+/// moves the heavier of its send and receive volumes at `bandwidth`
+/// (full-duplex links overlap the two directions). Returns per-rank
+/// seconds.
+pub fn comm_times(
     pair_bytes: &[(usize, usize, u64)],
     nranks: usize,
     latency: f64,
     bandwidth: f64,
-) -> f64 {
+) -> Vec<f64> {
     let mut sent = vec![0u64; nranks];
     let mut recv = vec![0u64; nranks];
     let mut peers = vec![0usize; nranks];
     for &(s, d, b) in pair_bytes {
-        assert!(s < nranks && d < nranks, "rank out of range in migration");
+        assert!(s < nranks && d < nranks, "rank out of range in traffic");
         sent[s] += b;
         recv[d] += b;
         peers[s] += 1;
@@ -260,6 +260,19 @@ pub fn comm_time_model(
     }
     (0..nranks)
         .map(|r| peers[r] as f64 * latency + sent[r].max(recv[r]) as f64 / bandwidth)
+        .collect()
+}
+
+/// Bulk-synchronous cost of `pair_bytes`: the slowest rank of
+/// [`comm_times`] gates the step.
+pub fn comm_time_model(
+    pair_bytes: &[(usize, usize, u64)],
+    nranks: usize,
+    latency: f64,
+    bandwidth: f64,
+) -> f64 {
+    comm_times(pair_bytes, nranks, latency, bandwidth)
+        .into_iter()
         .fold(0.0, f64::max)
 }
 
@@ -551,13 +564,49 @@ mod tests {
     }
 
     #[test]
-    fn comm_time_model_charges_latency_and_volume() {
-        // Same fixture as mrpic_cluster::lb's trace-costing test; the
-        // per-rank times collapse to their max here.
+    fn comm_times_charge_latency_and_volume() {
+        // Rank 0 talks to both peers, rank 1 only to rank 0.
         let trace = [(0usize, 1usize, 8_000u64), (1, 0, 2_000), (0, 2, 1_000)];
-        let t0 = 3.0 * 1e-6 + 9_000.0 / 1e9;
-        assert!((comm_time_model(&trace, 3, 1e-6, 1e9) - t0).abs() < 1e-12);
-        assert_eq!(comm_time_model(&[], 3, 1e-6, 1e9), 0.0);
+        let t = comm_times(&trace, 3, 1e-6, 1e9);
+        // Rank 0: 3 message-pair touches, max(9000 sent, 2000 recv) bytes.
+        assert!((t[0] - (3.0 * 1e-6 + 9_000.0 / 1e9)).abs() < 1e-12);
+        // Rank 1: 2 touches, max(2000 sent, 8000 recv) bytes.
+        assert!((t[1] - (2.0 * 1e-6 + 8_000.0 / 1e9)).abs() < 1e-12);
+        // Rank 2 only receives.
+        assert!((t[2] - (1.0 * 1e-6 + 1_000.0 / 1e9)).abs() < 1e-12);
+
+        // Dense, lumpy all-pairs traffic at the live policy's defaults.
+        let cfg = LbPolicyCfg::default();
+        let dense = |nranks: usize| {
+            let mut pairs = Vec::new();
+            for s in 0..nranks {
+                for d in 0..nranks {
+                    let b = ((s * 7919 + d * 104729) % 65536) as u64 * 512;
+                    if s != d && b > 0 {
+                        pairs.push((s, d, b));
+                    }
+                }
+            }
+            pairs
+        };
+        let mut cases = vec![(trace.to_vec(), 3, 1e-6, 1e9), (Vec::new(), 4, 2e-6, 25e9)];
+        for nranks in [2usize, 3, 5, 8] {
+            cases.push((dense(nranks), nranks, cfg.latency, cfg.bandwidth));
+        }
+        for (pairs, nranks, lat, bw) in cases {
+            let t = comm_times(&pairs, nranks, lat, bw);
+            assert_eq!(t.len(), nranks);
+            let max = t.iter().copied().fold(0.0, f64::max);
+            assert_eq!(
+                comm_time_model(&pairs, nranks, lat, bw).to_bits(),
+                max.to_bits()
+            );
+            if pairs.is_empty() {
+                assert!(t.iter().all(|&x| x == 0.0));
+            } else {
+                assert!(max > 0.0);
+            }
+        }
     }
 
     #[test]

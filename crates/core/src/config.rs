@@ -396,6 +396,17 @@ impl RunConfig {
                 ));
             }
         }
+        if let Some(mb) = self.max_box {
+            for d in 0..3 {
+                if mb[d] < 1 {
+                    return Err(format!(
+                        "max_box[{d}] must be >= 1 cell, got {} (omit max_box for \
+                         one box)",
+                        mb[d]
+                    ));
+                }
+            }
+        }
         if self.dim()? == Dim::Two && self.cells[1] != 1 {
             return Err(format!(
                 "2d runs use a single y cell: cells[1] must be 1, got {}",
@@ -446,6 +457,34 @@ impl RunConfig {
                     "species[{i}] \"{}\": every ppc component must be >= 1, \
                      got {:?}",
                     sc.name, sc.ppc
+                ));
+            }
+        }
+        for (i, lc) in self.lasers.iter().enumerate() {
+            if !(lc.wavelength > 0.0 && lc.wavelength.is_finite()) {
+                return Err(format!(
+                    "lasers[{i}]: wavelength must be a positive length in meters, got {}",
+                    lc.wavelength
+                ));
+            }
+            if !(lc.tau_fwhm > 0.0 && lc.tau_fwhm.is_finite()) {
+                return Err(format!(
+                    "lasers[{i}]: tau_fwhm must be a positive duration in seconds, got {}",
+                    lc.tau_fwhm
+                ));
+            }
+            if let Some(w) = lc.waist {
+                if !(w > 0.0 && w.is_finite()) {
+                    return Err(format!(
+                        "lasers[{i}]: waist must be a positive length in meters \
+                         (omit it for a plane wave), got {w}"
+                    ));
+                }
+            }
+            if !matches!(lc.polarization.as_str(), "s" | "S" | "p" | "P") {
+                return Err(format!(
+                    "lasers[{i}]: polarization must be \"s\" or \"p\", got \"{}\"",
+                    lc.polarization
                 ));
             }
         }
@@ -848,6 +887,51 @@ mod tests {
         cfg.mr_patches[0].lo[2] = 0;
         cfg.mr_patches[0].hi[1] = 0;
         assert_rejected(&cfg, "mr_patches[0]: lo[1] (0) must be below hi[1] (0)");
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_max_box() {
+        let mut cfg = RunConfig::from_json(SAMPLE).unwrap();
+        cfg.max_box = Some([32, 1, 16]);
+        cfg.validate().unwrap();
+        cfg.max_box = Some([0, 1, 0]);
+        assert_rejected(&cfg, "max_box[0] must be >= 1 cell, got 0");
+        cfg.max_box = Some([-4, 1, 16]);
+        assert_rejected(&cfg, "max_box[0] must be >= 1 cell, got -4");
+        cfg.max_box = Some([32, 1, 0]);
+        assert_rejected(&cfg, "max_box[2] must be >= 1 cell, got 0");
+    }
+
+    #[test]
+    fn validate_rejects_bad_laser_fields() {
+        let base = RunConfig::from_json(SAMPLE).unwrap();
+        let with = |f: &dyn Fn(&mut LaserConfig)| {
+            let mut cfg = base.clone();
+            f(&mut cfg.lasers[0]);
+            cfg
+        };
+        for bad in [0.0, -8e-7, f64::NAN, f64::INFINITY] {
+            assert_rejected(
+                &with(&|l| l.wavelength = bad),
+                "lasers[0]: wavelength must be a positive length",
+            );
+            assert_rejected(
+                &with(&|l| l.tau_fwhm = bad),
+                "lasers[0]: tau_fwhm must be a positive duration",
+            );
+            assert_rejected(
+                &with(&|l| l.waist = Some(bad)),
+                "lasers[0]: waist must be a positive length",
+            );
+        }
+        assert_rejected(
+            &with(&|l| l.polarization = "q".into()),
+            "lasers[0]: polarization must be \"s\" or \"p\", got \"q\"",
+        );
+        for ok in ["s", "S", "p", "P"] {
+            with(&|l| l.polarization = ok.into()).validate().unwrap();
+        }
+        with(&|l| l.waist = Some(2e-6)).validate().unwrap();
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   solid–gas target ([`profile`]),
 //! * a laser antenna with oblique incidence ([`laser`]),
 //! * reduced diagnostics: beam charge, spectra, field slices ([`diag`]),
-//! * extensions: boosted-frame transforms ([`boost`]), particle
-//!   splitting/merging ([`resample`]), checkpointing ([`checkpoint`]),
+//! * checkpoint/restart ([`checkpoint`]),
 //! * the run loop every driver shares, with the process exit contract
 //!   ([`run`]).
 
@@ -25,21 +24,17 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod balance;
-pub mod boost;
 pub mod checkpoint;
 pub mod config;
 pub mod diag;
 pub mod exchange;
-pub mod ionization;
 pub mod laser;
 pub mod mr;
 pub mod particles;
 pub mod profile;
-pub mod resample;
 pub mod run;
 pub mod sim;
 pub mod species;
-pub mod spectral;
 pub mod telemetry;
 
 pub use particles::{ParticleBuf, ParticleContainer};

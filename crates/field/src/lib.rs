@@ -9,9 +9,7 @@
 //! * [`pml`] — Berenger split-field Perfectly Matched Layers terminating
 //!   domain boundaries and mesh-refinement patches (§V-B);
 //! * [`energy`] — field-energy diagnostics;
-//! * [`cfl`] — Courant time-step limits;
-//! * [`psatd`] — the Pseudo-Spectral Analytical Time-Domain solver on a
-//!   from-scratch FFT ([`fft`]), the key-extension capability of Table I.
+//! * [`cfl`] — Courant time-step limits.
 
 // Stencil and particle loops index several parallel arrays by the same
 // counter; iterator zips would obscure the numerics. Silence the style
@@ -20,12 +18,10 @@
 
 pub mod cfl;
 pub mod energy;
-pub mod fft;
 pub mod fieldset;
 pub mod filter;
 pub mod pml;
 pub mod poynting;
-pub mod psatd;
 pub mod yee;
 
 pub use fieldset::{Dim, FieldSet, GridGeom};

@@ -30,12 +30,8 @@ fn main() {
         ),
         ("dynamic load balancing", "core::balance + LbPolicyCfg"),
         ("mesh refinement", "Simulation::add_mr_patch"),
-        ("boosted frame", "core::boost::Boost"),
-        ("PSATD field solver", "field::psatd::Psatd2d"),
         ("MR subcycling", "MrConfig { subcycle: true, .. }"),
         ("current smoothing", "SimulationBuilder::filter_passes"),
-        ("field (ADK) ionization", "core::ionization"),
-        ("particle split/merge", "core::resample"),
         ("checkpoint/restart", "core::checkpoint"),
     ] {
         println!("  [x] {cap:<28} {how}");

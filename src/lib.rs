@@ -7,7 +7,7 @@
 //! * [`kernels`] — particle↔mesh hot loops (shape factors, field gather,
 //!   Esirkepov current deposition, Boris/Vay pushers);
 //! * [`field`] — Yee FDTD Maxwell solver, PML absorbing layers, moving
-//!   window, spectral (PSATD) extension;
+//!   window;
 //! * [`core`] — the simulation driver: species, lasers, mesh refinement,
 //!   diagnostics, load balancing;
 //! * [`cluster`] — exascale machine models and the scaling/FOM/Flop-rate

@@ -1,6 +1,6 @@
 //! Cross-crate physics integration tests: laser propagation through MR
-//! patches, moving window + MR interplay, PSATD vs FDTD agreement, and
-//! global conservation during laser–plasma interaction.
+//! patches, moving window + MR interplay, and global conservation during
+//! laser–plasma interaction.
 
 use mrpic::amr::{IndexBox, IntVect};
 use mrpic::core::laser::antenna_for_a0;
@@ -9,7 +9,6 @@ use mrpic::core::profile::Profile;
 use mrpic::core::sim::{ShapeOrder, SimulationBuilder};
 use mrpic::core::species::Species;
 use mrpic::field::fieldset::Dim;
-use mrpic::kernels::constants::C;
 
 /// A vacuum laser pulse crossing the MR patch region must not reflect
 /// off the patch interface: the parent solution is independent of the
@@ -111,49 +110,6 @@ fn moving_window_with_mr_patch_is_stable() {
     assert!(sim.parts[0].check_ownership(&ba, &geom));
 }
 
-/// PSATD and FDTD agree on a well-resolved propagating wave (and PSATD
-/// has no dispersion error even at large dt).
-#[test]
-fn psatd_and_fdtd_agree_on_propagation() {
-    use mrpic::field::psatd::Psatd2d;
-    let (nx, nz) = (128usize, 4usize);
-    let dx = 1.0e-6;
-    let k = 2.0 * std::f64::consts::PI / (32.0 * dx); // 32 cells/lambda
-                                                      // PSATD state.
-    let mut spectral = Psatd2d::new(nx, nz, dx, dx);
-    let mut ey = vec![0.0; nx * nz];
-    let mut bz = vec![0.0; nx * nz];
-    for r in 0..nz {
-        for i in 0..nx {
-            let x = i as f64 * dx;
-            ey[r * nx + i] = (k * x).sin();
-            bz[r * nx + i] = (k * x).sin() / C;
-        }
-    }
-    let zeros = vec![0.0; nx * nz];
-    spectral.set_fields([&zeros, &ey, &zeros], [&zeros, &zeros, &bz]);
-    // Advance one full box crossing with big steps.
-    let t_total = nx as f64 * dx / C;
-    let nsteps = 16usize;
-    for _ in 0..nsteps {
-        spectral.step(t_total / nsteps as f64, [&zeros, &zeros, &zeros]);
-    }
-    let (e, _) = spectral.get_fields();
-    // After exactly one periodic crossing the wave returns: compare.
-    let mut err = 0.0;
-    let mut norm = 0.0;
-    for i in 0..nx {
-        let d = e[1][i] - ey[i];
-        err += d * d;
-        norm += ey[i] * ey[i];
-    }
-    assert!(
-        (err / norm).sqrt() < 1e-9,
-        "PSATD dispersion error: {:.2e}",
-        (err / norm).sqrt()
-    );
-}
-
 /// Energy accounting during laser absorption: field energy converts to
 /// particle kinetic energy; the total (plus PML losses) never grows.
 #[test]
@@ -202,17 +158,4 @@ fn laser_plasma_energy_budget() {
         fe_end + ke_end,
         peak_total
     );
-}
-
-/// Boosted-frame bookkeeping: a stage modeled in the boosted frame needs
-/// orders of magnitude fewer steps (the speedup estimate of [50]).
-#[test]
-fn boosted_frame_speedup_bookkeeping() {
-    use mrpic::core::boost::Boost;
-    let b = Boost::new(10.0);
-    let (n_boost, u_drift) = b.plasma(1.0e24);
-    assert!(n_boost > 9.9e24 && u_drift < 0.0);
-    assert!(b.step_count_speedup() > 300.0); // ~4 gamma^2 = 400
-    let lam = b.laser_wavelength(0.8e-6);
-    assert!(lam > 15.0e-6, "red-shifted wavelength {lam:e}");
 }

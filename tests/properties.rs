@@ -135,37 +135,4 @@ proptest! {
         prop_assert!((pc.total_weight() - w0).abs() < 1e-9);
         prop_assert!(pc.check_ownership(&ba, &geom));
     }
-
-    /// Splitting then merging returns the same total weight and mean
-    /// momentum (resampling invariants).
-    #[test]
-    fn resampling_preserves_moments(
-        n in 1usize..30,
-        seed in 0u64..500,
-    ) {
-        use mrpic::core::resample::{merge_by_cell, split_in_region};
-        use mrpic::field::fieldset::Dim;
-        let geom = GridGeom { dx: [1.0; 3], x0: [0.0; 3] };
-        let mut buf = mrpic::core::particles::ParticleBuf::default();
-        let mut state = seed | 1;
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) % 1000) as f64 / 1000.0
-        };
-        for _ in 0..n {
-            buf.push(
-                rng() * 4.0, 0.5, rng() * 4.0,
-                rng() * 1e6, 0.0, rng() * 1e6,
-                1.0 + rng(),
-            );
-        }
-        let w0 = buf.total_weight();
-        let px0: f64 = (0..buf.len()).map(|i| buf.w[i] * buf.ux[i]).sum();
-        split_in_region(&mut buf, Dim::Two, &geom, [0.0; 3], [4.0, 1.0, 4.0], 0.2);
-        prop_assert!((buf.total_weight() - w0).abs() < 1e-9 * w0.max(1.0));
-        merge_by_cell(&mut buf, &geom, 2);
-        prop_assert!((buf.total_weight() - w0).abs() < 1e-9 * w0.max(1.0));
-        let px1: f64 = (0..buf.len()).map(|i| buf.w[i] * buf.ux[i]).sum();
-        prop_assert!((px1 - px0).abs() <= 1e-6 * px0.abs().max(1.0));
-    }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, full workspace tests, lints, formatting,
-# bench compilation, and a telemetry-guarded smoke run. Note: the root
+# the benchmark smoke, and telemetry-guarded smoke runs. Note: the root
 # manifest is both [workspace] and [package], so plain `cargo test`
 # would only run the umbrella crate — always pass --workspace.
 set -euo pipefail
@@ -24,7 +24,6 @@ cargo test -q -p mrpic-amr
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
-cargo bench --workspace --no-run
 
 # Benchmark smoke: every mrpic_benchmark workload for a few steps
 # through the library/CLI surface the benchmark pins, with its digest
@@ -86,6 +85,20 @@ for TRANSPORT in mem socket; do
     grep -q 'shrink:3:2' target/tier1_overshrink.stderr
     if grep -q panicked target/tier1_overshrink.stderr; then exit 1; fi
 done
+
+# Hostile deck: a max_box with a zero component is a config error —
+# exit exactly 2 with a message naming the field, never a panic.
+sed '1s/^{$/{\n  "max_box": [0, 1, 0],/' configs/hybrid_target_mr_2d.json \
+    > target/tier1_bad_max_box.json
+grep -q '"max_box": \[0, 1, 0\]' target/tier1_bad_max_box.json
+set +e
+cargo run --release --bin mrpic_run -- target/tier1_bad_max_box.json \
+    target/tier1_bad_max_box_out --steps 6 2> target/tier1_bad_max_box.stderr
+BAD_DECK_CODE=$?
+set -e
+test "$BAD_DECK_CODE" = 2
+grep -q 'max_box\[0\]' target/tier1_bad_max_box.stderr
+if grep -q panicked target/tier1_bad_max_box.stderr; then exit 1; fi
 
 # Seeded chaos smoke: the built-in fault plan injects delays, corruption,
 # and transient failures, then crashes rank 1 at step 20; the run must
