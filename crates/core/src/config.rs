@@ -265,6 +265,10 @@ fn default_rr() -> i64 {
 fn default_ntrans() -> i64 {
     2
 }
+/// Thinnest PML (`pml`, patch `npml`) that still absorbs; the field
+/// crate refuses to build a thinner one.
+const MIN_PML: i64 = 4;
+
 fn default_patch_pml() -> i64 {
     8
 }
@@ -426,6 +430,21 @@ impl RunConfig {
                 self.pml
             ));
         }
+        if (1..MIN_PML).contains(&self.pml) {
+            return Err(format!(
+                "pml must be 0 (disabled) or >= {MIN_PML} cells, got {} (a thinner \
+                 layer cannot absorb)",
+                self.pml
+            ));
+        }
+        let dim = self.dim()?;
+        if self.pml > 0 && dim.axes().iter().all(|&d| self.periodic[d]) {
+            return Err(format!(
+                "pml = {} needs a non-periodic axis, but every real axis of this {} \
+                 deck is periodic (set pml to 0)",
+                self.pml, self.dimension
+            ));
+        }
         if !(self.t_end > 0.0 && self.t_end.is_finite()) {
             return Err(format!(
                 "t_end must be a positive time in seconds, got {}",
@@ -545,6 +564,13 @@ impl RunConfig {
             ));
         }
         for (i, mp) in self.mr_patches.iter().enumerate() {
+            if mp.npml < MIN_PML {
+                return Err(format!(
+                    "mr_patches[{i}]: npml must be >= {MIN_PML} cells, got {} (patch \
+                     grids are always PML-terminated)",
+                    mp.npml
+                ));
+            }
             if mp.rr < 2 {
                 return Err(format!(
                     "mr_patches[{i}]: refinement ratio rr must be >= 2, got {}",
@@ -932,6 +958,30 @@ mod tests {
             with(&|l| l.polarization = ok.into()).validate().unwrap();
         }
         with(&|l| l.waist = Some(2e-6)).validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_thin_or_useless_pml() {
+        let mut cfg = RunConfig::from_json(SAMPLE).unwrap();
+        for thin in 1..4 {
+            cfg.pml = thin;
+            assert_rejected(
+                &cfg,
+                &format!("pml must be 0 (disabled) or >= 4 cells, got {thin}"),
+            );
+        }
+        cfg.pml = 4;
+        cfg.validate().unwrap();
+        cfg.mr_patches[0].npml = 2;
+        assert_rejected(&cfg, "mr_patches[0]: npml must be >= 4 cells, got 2");
+        cfg.mr_patches[0].npml = 4;
+        cfg.validate().unwrap();
+        // All real axes periodic: no axis could carry a layer. The
+        // collapsed 2-D y axis does not count either way.
+        cfg.periodic = [true, false, true];
+        assert_rejected(&cfg, "pml = 4 needs a non-periodic axis");
+        cfg.pml = 0;
+        cfg.validate().unwrap();
     }
 
     #[test]

@@ -26,3 +26,46 @@ pub mod yee;
 
 pub use fieldset::{Dim, FieldSet, GridGeom};
 pub use pml::Pml;
+
+/// Shared helpers of the kernels' bitwise oracle tests.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use mrpic_amr::FabArray;
+
+    /// Overwrite every stored point (guards included) with deterministic
+    /// junk: a third signed zeros, the rest spread over many magnitudes.
+    pub fn junk_fill(fa: &mut FabArray, seed: u64) {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for fab in fa.fabs_mut() {
+            for v in fab.raw_mut() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let sign = if s & 1 == 0 { 1.0 } else { -1.0 };
+                *v = match (s >> 1) % 6 {
+                    0 | 1 => sign * 0.0,
+                    k => {
+                        sign * ((s >> 11) as f64 / (1u64 << 53) as f64)
+                            * 10f64.powi(k as i32 * 3 - 9)
+                    }
+                };
+            }
+        }
+    }
+
+    /// Every stored point of `a` and `b` has the same bits.
+    pub fn assert_bitwise(a: &FabArray, b: &FabArray, what: &str) {
+        assert_eq!(a.nfabs(), b.nfabs(), "{what}: fab count");
+        for fi in 0..a.nfabs() {
+            let (x, y) = (a.fab(fi).raw(), b.fab(fi).raw());
+            assert_eq!(x.len(), y.len(), "{what}: fab {fi} size");
+            for (n, (u, v)) in x.iter().zip(y).enumerate() {
+                assert_eq!(
+                    u.to_bits(),
+                    v.to_bits(),
+                    "{what}: fab {fi} point {n}: {u:e} vs {v:e}"
+                );
+            }
+        }
+    }
+}

@@ -47,19 +47,67 @@ struct InterfacePlan {
     to_field: Vec<(usize, usize, IndexBox)>,
 }
 
+/// The polynomial damping profile of a PML shell: `r_d = r_max (depth /
+/// npml)^m` along each axis that carries a layer, zero inside the
+/// protected interior.
+#[derive(Clone, Copy, Debug)]
+struct Grading {
+    interior: IndexBox,
+    npml: i64,
+    /// Axes that carry a layer (non-periodic, spatially extended).
+    active: [bool; 3],
+    rate_max: [f64; 3],
+}
+
+impl Grading {
+    /// Damping rate \[1/s\] at staggered coordinate `xi` (cell units)
+    /// along axis `d`.
+    #[inline]
+    fn rate(&self, d: usize, xi: f64) -> f64 {
+        if !self.active[d] {
+            return 0.0;
+        }
+        let lo = self.interior.lo[d] as f64;
+        let hi = self.interior.hi[d] as f64;
+        let depth = (lo - xi).max(xi - hi).max(0.0);
+        let frac = (depth / self.npml as f64).min(1.0);
+        self.rate_max[d] * frac.powi(GRADE_M)
+    }
+}
+
+/// Damping factors of one slab along its damping axis for one time step:
+/// `rdt[t] = r dt` and `e[t] = exp(-r dt)` at the `t`-th point coordinate
+/// of the slab, so a row update evaluates no `powi` or `exp`.
+#[derive(Clone, Debug, Default)]
+struct DampTable {
+    rdt: Vec<f64>,
+    e: Vec<f64>,
+}
+
+impl DampTable {
+    /// Tabulate point coordinates `lo..hi` (staggered by `off`) along `d`.
+    fn fill(&mut self, g: &Grading, d: usize, off: f64, lo: i64, hi: i64, dt: f64) {
+        self.rdt.clear();
+        self.e.clear();
+        for p in lo..hi {
+            let rdt = g.rate(d, p as f64 + off) * dt;
+            self.rdt.push(rdt);
+            self.e.push((-rdt).exp());
+        }
+    }
+}
+
 /// A split-field PML shell around a rectangular interior region.
 #[derive(Clone, Debug)]
 pub struct Pml {
     pub dim: Dim,
-    interior: IndexBox,
-    npml: i64,
+    grading: Grading,
     geom: GridGeom,
-    /// Axes that carry a layer (non-periodic, spatially extended).
-    active: [bool; 3],
     shell_period: Periodicity,
     esplit: [FabArray; 3],
     bsplit: [FabArray; 3],
-    rate_max: [f64; 3],
+    /// Scratch for the per-slab damping factors of one split update.
+    damp: DampTable,
     iface_e: [Option<InterfacePlan>; 3],
     iface_b: [Option<InterfacePlan>; 3],
     /// Wall-clock seconds spent in interface exchanges.
@@ -115,14 +163,17 @@ impl Pml {
         }
         Self {
             dim,
-            interior,
-            npml,
+            grading: Grading {
+                interior,
+                npml,
+                active,
+                rate_max,
+            },
             geom,
-            active,
             shell_period,
             esplit: [mk_e(0), mk_e(1), mk_e(2)],
             bsplit: [mk_b(0), mk_b(1), mk_b(2)],
-            rate_max,
+            damp: DampTable::default(),
             iface_e: [None, None, None],
             iface_b: [None, None, None],
             iface_seconds: 0.0,
@@ -190,12 +241,12 @@ impl Pml {
 
     #[inline]
     pub fn interior(&self) -> IndexBox {
-        self.interior
+        self.grading.interior
     }
 
     #[inline]
     pub fn npml(&self) -> i64 {
-        self.npml
+        self.grading.npml
     }
 
     pub fn boxarray(&self) -> &BoxArray {
@@ -205,125 +256,100 @@ impl Pml {
     /// Damping rate \[1/s\] at staggered coordinate `xi` (cell units)
     /// along axis `d`.
     pub fn rate(&self, d: usize, xi: f64) -> f64 {
-        if !self.active[d] {
-            return 0.0;
-        }
-        let lo = self.interior.lo[d] as f64;
-        let hi = self.interior.hi[d] as f64;
-        let depth = (lo - xi).max(xi - hi).max(0.0);
-        let frac = (depth / self.npml as f64).min(1.0);
-        self.rate_max[d] * frac.powi(GRADE_M)
-    }
-
-    /// True when the derivative along `axis` exists in this
-    /// dimensionality (in 2-D every y derivative vanishes *and* the
-    /// collapsed single-plane arrays must never be offset along y).
-    #[inline]
-    fn has_axis(&self, axis: usize) -> bool {
-        self.dim == Dim::Three || axis != 1
+        self.grading.rate(d, xi)
     }
 
     /// Advance the split B components by `dt`.
     pub fn advance_b(&mut self, dt: f64) {
-        let ctx = SplitCtx {
-            interior: self.interior,
-            npml: self.npml,
-            rate_max: self.rate_max,
-            active: self.active,
-            dt,
-        };
+        let Pml {
+            dim,
+            grading,
+            geom,
+            shell_period,
+            esplit,
+            bsplit,
+            damp,
+            ..
+        } = self;
+        let mut split = SplitUpdate { grading, dt, damp };
         for c in 0..3 {
             let a1 = (c + 1) % 3;
             let a2 = (c + 2) % 3;
             // dB_c/dt = -(dE_{a2}/da1 - dE_{a1}/da2):
             //   split0 <- -dE_{a2}/da1, damped along a1 (forward diff)
             //   split1 <- +dE_{a1}/da2, damped along a2
-            let [e0, e1, e2] = &self.esplit;
-            let epick = |i: usize| match i {
-                0 => e0,
-                1 => e1,
-                _ => e2,
-            };
-            if self.has_axis(a1) {
-                advance_split(
-                    &mut self.bsplit[c],
+            if has_axis(*dim, a1) {
+                split.advance(
+                    &mut bsplit[c],
                     0,
                     a1,
-                    epick(a2),
-                    -dt / self.geom.dx[a1],
+                    &esplit[a2],
+                    -dt / geom.dx[a1],
                     IntVect::unit(a1),
                     IntVect::ZERO,
-                    &ctx,
                 );
             }
-            if self.has_axis(a2) {
-                advance_split(
-                    &mut self.bsplit[c],
+            if has_axis(*dim, a2) {
+                split.advance(
+                    &mut bsplit[c],
                     1,
                     a2,
-                    epick(a1),
-                    dt / self.geom.dx[a2],
+                    &esplit[a1],
+                    dt / geom.dx[a2],
                     IntVect::unit(a2),
                     IntVect::ZERO,
-                    &ctx,
                 );
             }
         }
-        let period = self.shell_period;
         for c in 0..3 {
-            self.bsplit[c].fill_boundary(&period);
+            bsplit[c].fill_boundary(shell_period);
         }
     }
 
     /// Advance the split E components by `dt` (no current in the PML).
     pub fn advance_e(&mut self, dt: f64) {
-        let ctx = SplitCtx {
-            interior: self.interior,
-            npml: self.npml,
-            rate_max: self.rate_max,
-            active: self.active,
-            dt,
-        };
+        let Pml {
+            dim,
+            grading,
+            geom,
+            shell_period,
+            esplit,
+            bsplit,
+            damp,
+            ..
+        } = self;
+        let mut split = SplitUpdate { grading, dt, damp };
         for c in 0..3 {
             let a1 = (c + 1) % 3;
             let a2 = (c + 2) % 3;
             // dE_c/dt = c² (dB_{a2}/da1 - dB_{a1}/da2):
             //   split0 <-  c² dB_{a2}/da1, damped along a1 (backward diff)
             //   split1 <- -c² dB_{a1}/da2, damped along a2
-            let [b0, b1, b2] = &self.bsplit;
-            let bpick = |i: usize| match i {
-                0 => b0,
-                1 => b1,
-                _ => b2,
-            };
-            if self.has_axis(a1) {
-                advance_split(
-                    &mut self.esplit[c],
+            if has_axis(*dim, a1) {
+                split.advance(
+                    &mut esplit[c],
                     0,
                     a1,
-                    bpick(a2),
-                    C2 * dt / self.geom.dx[a1],
+                    &bsplit[a2],
+                    C2 * dt / geom.dx[a1],
                     IntVect::ZERO,
                     -IntVect::unit(a1),
-                    &ctx,
                 );
             }
-            if self.has_axis(a2) {
-                advance_split(
-                    &mut self.esplit[c],
+            if has_axis(*dim, a2) {
+                split.advance(
+                    &mut esplit[c],
                     1,
                     a2,
-                    bpick(a1),
-                    -C2 * dt / self.geom.dx[a2],
+                    &bsplit[a1],
+                    -C2 * dt / geom.dx[a2],
                     IntVect::ZERO,
                     -IntVect::unit(a2),
-                    &ctx,
                 );
             }
         }
-        let period = self.shell_period;
         for c in 0..3 {
-            self.esplit[c].fill_boundary(&period);
+            esplit[c].fill_boundary(shell_period);
         }
     }
 
@@ -370,85 +396,97 @@ impl Pml {
     }
 }
 
-struct SplitCtx {
-    interior: IndexBox,
-    npml: i64,
-    rate_max: [f64; 3],
-    active: [bool; 3],
+/// True when the derivative along `axis` exists in dimensionality `dim`
+/// (in 2-D every y derivative vanishes *and* the collapsed single-plane
+/// arrays must never be offset along y).
+#[inline]
+fn has_axis(dim: Dim, axis: usize) -> bool {
+    dim == Dim::Three || axis != 1
+}
+
+/// The damping profile, time step and table scratch shared by the split
+/// updates of one half step.
+struct SplitUpdate<'a> {
+    grading: &'a Grading,
     dt: f64,
+    damp: &'a mut DampTable,
 }
 
-impl SplitCtx {
-    #[inline(always)]
-    fn rate(&self, d: usize, xi: f64) -> f64 {
-        if !self.active[d] {
-            return 0.0;
-        }
-        let lo = self.interior.lo[d] as f64;
-        let hi = self.interior.hi[d] as f64;
-        let depth = (lo - xi).max(xi - hi).max(0.0);
-        let frac = (depth / self.npml as f64).min(1.0);
-        self.rate_max[d] * frac.powi(GRADE_M)
-    }
-}
-
-/// Exponentially damped update of one split component:
-/// `f' = f e^{-r dt} + D (1 - e^{-r dt}) / (r dt)` with
-/// `D = coef * (tot[p+op] - tot[p+om])` the undamped increment.
-#[allow(clippy::too_many_arguments)]
-fn advance_split(
-    dst: &mut FabArray,
-    split: usize,
-    damp_axis: usize,
-    src: &FabArray,
-    coef: f64,
-    op: IntVect,
-    om: IntVect,
-    ctx: &SplitCtx,
-) {
-    let stag = dst.stagger();
-    let off = stag.offset(damp_axis);
-    for fi in 0..dst.nfabs() {
-        let sfab = src.fab(fi);
-        let six = sfab.indexer();
-        let (s0, s1) = (sfab.comp(0), sfab.comp(1));
-        let fab = dst.fab_mut(fi);
-        let vb = fab.valid_pts();
-        let dix = fab.indexer();
-        let data = fab.comp_mut(split);
-        let w = (vb.hi.x - vb.lo.x) as usize;
-        for k in vb.lo.z..vb.hi.z {
-            for jj in vb.lo.y..vb.hi.y {
-                let drow = dix.at(vb.lo.x, jj, k);
-                let prow = six.at(vb.lo.x + op.x, jj + op.y, k + op.z);
-                let mrow = six.at(vb.lo.x + om.x, jj + om.y, k + om.z);
-                // The damping coordinate is constant along the row unless
-                // the damping axis is x.
-                let row_xi = match damp_axis {
-                    1 => jj as f64 + off,
-                    2 => k as f64 + off,
-                    _ => 0.0,
-                };
-                for i in 0..w {
-                    let xi = if damp_axis == 0 {
-                        (vb.lo.x + i as i64) as f64 + off
-                    } else {
-                        row_xi
-                    };
-                    let r = ctx.rate(damp_axis, xi);
-                    let d_inc =
-                        coef * ((s0[prow + i] + s1[prow + i]) - (s0[mrow + i] + s1[mrow + i]));
-                    let rdt = r * ctx.dt;
-                    let v = &mut data[drow + i];
+impl SplitUpdate<'_> {
+    /// Exponentially damped update of one split component:
+    /// `f' = f e^{-r dt} + D (1 - e^{-r dt}) / (r dt)` with
+    /// `D = coef * (tot[p+op] - tot[p+om])` the undamped increment, or
+    /// `f' = f + D` where `r dt < 1e-12`. The damping factors come from a
+    /// per-slab table along `damp_axis`, so every row is a branch-free
+    /// loop (x-damped rows select per point, y/z-damped rows are uniform).
+    #[allow(clippy::too_many_arguments)]
+    fn advance(
+        &mut self,
+        dst: &mut FabArray,
+        split: usize,
+        damp_axis: usize,
+        src: &FabArray,
+        coef: f64,
+        op: IntVect,
+        om: IntVect,
+    ) {
+        let off = dst.stagger().offset(damp_axis);
+        let tab = &mut *self.damp;
+        for fi in 0..dst.nfabs() {
+            let sfab = src.fab(fi);
+            let six = sfab.indexer();
+            let (s0, s1) = (sfab.comp(0), sfab.comp(1));
+            let fab = dst.fab_mut(fi);
+            let vb = fab.valid_pts();
+            let dix = fab.indexer();
+            let data = fab.comp_mut(split);
+            let w = (vb.hi.x - vb.lo.x) as usize;
+            let tlo = vb.lo[damp_axis];
+            tab.fill(self.grading, damp_axis, off, tlo, vb.hi[damp_axis], self.dt);
+            for k in vb.lo.z..vb.hi.z {
+                for jj in vb.lo.y..vb.hi.y {
+                    let drow = dix.at(vb.lo.x, jj, k);
+                    let prow = six.at(vb.lo.x + op.x, jj + op.y, k + op.z);
+                    let mrow = six.at(vb.lo.x + om.x, jj + om.y, k + om.z);
+                    let row = &mut data[drow..drow + w];
+                    let (p0, p1) = (&s0[prow..prow + w], &s1[prow..prow + w]);
+                    let (m0, m1) = (&s0[mrow..mrow + w], &s1[mrow..mrow + w]);
+                    let inc = |i: usize| coef * ((p0[i] + p1[i]) - (m0[i] + m1[i]));
+                    if damp_axis == 0 {
+                        let (rdt, e) = (&tab.rdt[..w], &tab.e[..w]);
+                        for i in 0..w {
+                            row[i] = damped(row[i], inc(i), rdt[i], e[i]);
+                        }
+                        continue;
+                    }
+                    // The damping coordinate is constant along the row.
+                    let t = (if damp_axis == 1 { jj } else { k } - tlo) as usize;
+                    let (rdt, e) = (tab.rdt[t], tab.e[t]);
                     if rdt < 1e-12 {
-                        *v += d_inc;
+                        for i in 0..w {
+                            row[i] += inc(i);
+                        }
                     } else {
-                        let e = (-rdt).exp();
-                        *v = *v * e + d_inc * (1.0 - e) / rdt;
+                        for i in 0..w {
+                            row[i] = row[i] * e + inc(i) * (1.0 - e) / rdt;
+                        }
                     }
                 }
             }
         }
+    }
+}
+
+/// One damped split point: `v + d_inc` where `rdt < 1e-12`, else
+/// `v e + d_inc (1 - e) / rdt`. Both sides are evaluated and selected,
+/// so a row of these vectorizes.
+#[inline(always)]
+fn damped(v: f64, d_inc: f64, rdt: f64, e: f64) -> f64 {
+    let decayed = v * e + d_inc * (1.0 - e) / rdt;
+    if rdt < 1e-12 {
+        v + d_inc
+    } else {
+        decayed
     }
 }
 
@@ -499,20 +537,52 @@ fn exchange_component(slot: &mut Option<InterfacePlan>, pml: &mut FabArray, fiel
         *slot = Some(build_interface_plan(pml, field));
     }
     let plan = slot.as_ref().expect("plan just ensured");
-    // Interior -> PML guards. `pml` and `field` are distinct arrays, so
-    // the copies borrow src/dst directly (no fab clones).
+    // Every region lies inside both fabs' point boxes by construction
+    // (valid ∩ grown), so the row copies need no clipping. `pml` and
+    // `field` are distinct arrays, so they borrow src/dst directly.
+    // Interior -> PML guards: split0 = total, split1 = 0, one pass.
     for &(pi, fi, region) in &plan.to_pml {
         let src = field.fab(fi);
+        let six = src.indexer();
+        let tot = src.comp(0);
         let dst = pml.fab_mut(pi);
-        dst.copy_region_from(src, &region, IntVect::ZERO, 0, 0);
-        dst.zero_region(1, &region);
+        let dix = dst.indexer();
+        let (d0, d1) = dst.comp2_mut(0, 1);
+        for_rows(&region, |i, j, k, w| {
+            let (so, po) = (six.at(i, j, k), dix.at(i, j, k));
+            let rows = d0[po..po + w].iter_mut().zip(&mut d1[po..po + w]);
+            for ((v0, v1), &t) in rows.zip(&tot[so..so + w]) {
+                *v0 = t;
+                *v1 = 0.0;
+            }
+        });
     }
-    // PML valid -> interior guards (totals).
+    // PML valid -> interior guards: split0 + split1, one pass.
     for &(fi, pi, region) in &plan.to_field {
         let src = pml.fab(pi);
+        let six = src.indexer();
+        let (s0, s1) = (src.comp(0), src.comp(1));
         let dst = field.fab_mut(fi);
-        dst.copy_region_from(src, &region, IntVect::ZERO, 0, 0);
-        dst.add_region_from(src, &region, IntVect::ZERO, 1, 0);
+        let dix = dst.indexer();
+        let tot = dst.comp_mut(0);
+        for_rows(&region, |i, j, k, w| {
+            let (so, po) = (six.at(i, j, k), dix.at(i, j, k));
+            let splits = s0[so..so + w].iter().zip(&s1[so..so + w]);
+            for (v, (&a, &b)) in tot[po..po + w].iter_mut().zip(splits) {
+                *v = a + b;
+            }
+        });
+    }
+}
+
+/// Call `f(lo.x, j, k, width)` for every x row of `region`.
+#[inline]
+fn for_rows(region: &IndexBox, mut f: impl FnMut(i64, i64, i64, usize)) {
+    let w = (region.hi.x - region.lo.x) as usize;
+    for k in region.lo.z..region.hi.z {
+        for j in region.lo.y..region.hi.y {
+            f(region.lo.x, j, k, w);
+        }
     }
 }
 
@@ -543,6 +613,281 @@ mod tests {
     use crate::cfl::max_dt;
     use crate::energy::field_energy;
     use mrpic_amr::{BoxArray, IndexBox};
+
+    /// The split update and interface exchange as they were before the
+    /// damping tables and one-pass copies: `powi` and `exp` per point,
+    /// four region calls per interface row.
+    mod reference {
+        use super::super::{build_interface_plan, has_axis, Grading, InterfacePlan, Pml};
+        use crate::fieldset::FieldSet;
+        use mrpic_amr::{FabArray, IntVect};
+        use mrpic_kernels::constants::C2;
+
+        #[allow(clippy::too_many_arguments)]
+        fn advance_split(
+            dst: &mut FabArray,
+            split: usize,
+            damp_axis: usize,
+            src: &FabArray,
+            coef: f64,
+            op: IntVect,
+            om: IntVect,
+            g: &Grading,
+            dt: f64,
+        ) {
+            let stag = dst.stagger();
+            let off = stag.offset(damp_axis);
+            for fi in 0..dst.nfabs() {
+                let sfab = src.fab(fi);
+                let six = sfab.indexer();
+                let (s0, s1) = (sfab.comp(0), sfab.comp(1));
+                let fab = dst.fab_mut(fi);
+                let vb = fab.valid_pts();
+                let dix = fab.indexer();
+                let data = fab.comp_mut(split);
+                let w = (vb.hi.x - vb.lo.x) as usize;
+                for k in vb.lo.z..vb.hi.z {
+                    for jj in vb.lo.y..vb.hi.y {
+                        let drow = dix.at(vb.lo.x, jj, k);
+                        let prow = six.at(vb.lo.x + op.x, jj + op.y, k + op.z);
+                        let mrow = six.at(vb.lo.x + om.x, jj + om.y, k + om.z);
+                        let row_xi = match damp_axis {
+                            1 => jj as f64 + off,
+                            2 => k as f64 + off,
+                            _ => 0.0,
+                        };
+                        for i in 0..w {
+                            let xi = if damp_axis == 0 {
+                                (vb.lo.x + i as i64) as f64 + off
+                            } else {
+                                row_xi
+                            };
+                            let r = g.rate(damp_axis, xi);
+                            let d_inc = coef
+                                * ((s0[prow + i] + s1[prow + i]) - (s0[mrow + i] + s1[mrow + i]));
+                            let rdt = r * dt;
+                            let v = &mut data[drow + i];
+                            if rdt < 1e-12 {
+                                *v += d_inc;
+                            } else {
+                                let e = (-rdt).exp();
+                                *v = *v * e + d_inc * (1.0 - e) / rdt;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn advance_b(pml: &mut Pml, dt: f64) {
+            let g = pml.grading;
+            for c in 0..3 {
+                let (a1, a2) = ((c + 1) % 3, (c + 2) % 3);
+                let Pml {
+                    esplit,
+                    bsplit,
+                    geom,
+                    dim,
+                    ..
+                } = &mut *pml;
+                let (u1, u2) = (IntVect::unit(a1), IntVect::unit(a2));
+                if has_axis(*dim, a1) {
+                    let coef = -dt / geom.dx[a1];
+                    advance_split(
+                        &mut bsplit[c],
+                        0,
+                        a1,
+                        &esplit[a2],
+                        coef,
+                        u1,
+                        IntVect::ZERO,
+                        &g,
+                        dt,
+                    );
+                }
+                if has_axis(*dim, a2) {
+                    let coef = dt / geom.dx[a2];
+                    advance_split(
+                        &mut bsplit[c],
+                        1,
+                        a2,
+                        &esplit[a1],
+                        coef,
+                        u2,
+                        IntVect::ZERO,
+                        &g,
+                        dt,
+                    );
+                }
+            }
+            for c in 0..3 {
+                pml.bsplit[c].fill_boundary(&pml.shell_period);
+            }
+        }
+
+        pub fn advance_e(pml: &mut Pml, dt: f64) {
+            let g = pml.grading;
+            for c in 0..3 {
+                let (a1, a2) = ((c + 1) % 3, (c + 2) % 3);
+                let Pml {
+                    esplit,
+                    bsplit,
+                    geom,
+                    dim,
+                    ..
+                } = &mut *pml;
+                let (u1, u2) = (-IntVect::unit(a1), -IntVect::unit(a2));
+                if has_axis(*dim, a1) {
+                    let coef = C2 * dt / geom.dx[a1];
+                    advance_split(
+                        &mut esplit[c],
+                        0,
+                        a1,
+                        &bsplit[a2],
+                        coef,
+                        IntVect::ZERO,
+                        u1,
+                        &g,
+                        dt,
+                    );
+                }
+                if has_axis(*dim, a2) {
+                    let coef = -C2 * dt / geom.dx[a2];
+                    advance_split(
+                        &mut esplit[c],
+                        1,
+                        a2,
+                        &bsplit[a1],
+                        coef,
+                        IntVect::ZERO,
+                        u2,
+                        &g,
+                        dt,
+                    );
+                }
+            }
+            for c in 0..3 {
+                pml.esplit[c].fill_boundary(&pml.shell_period);
+            }
+        }
+
+        fn exchange_component(
+            slot: &mut Option<InterfacePlan>,
+            pml: &mut FabArray,
+            field: &mut FabArray,
+        ) {
+            let stale = match slot {
+                Some(p) => p.pml_gen != pml.generation() || p.field_gen != field.generation(),
+                None => true,
+            };
+            if stale {
+                *slot = Some(build_interface_plan(pml, field));
+            }
+            let plan = slot.as_ref().expect("plan just ensured");
+            for &(pi, fi, region) in &plan.to_pml {
+                let src = field.fab(fi);
+                let dst = pml.fab_mut(pi);
+                dst.copy_region_from(src, &region, IntVect::ZERO, 0, 0);
+                dst.zero_region(1, &region);
+            }
+            for &(fi, pi, region) in &plan.to_field {
+                let src = pml.fab(pi);
+                let dst = field.fab_mut(fi);
+                dst.copy_region_from(src, &region, IntVect::ZERO, 0, 0);
+                dst.add_region_from(src, &region, IntVect::ZERO, 1, 0);
+            }
+        }
+
+        pub fn exchange_e(pml: &mut Pml, fs: &mut FieldSet) {
+            for c in 0..3 {
+                exchange_component(&mut pml.iface_e[c], &mut pml.esplit[c], &mut fs.e[c]);
+            }
+        }
+
+        pub fn exchange_b(pml: &mut Pml, fs: &mut FieldSet) {
+            for c in 0..3 {
+                exchange_component(&mut pml.iface_b[c], &mut pml.bsplit[c], &mut fs.b[c]);
+            }
+        }
+    }
+
+    /// A multi-box interior and its PML (layers on every real axis, so
+    /// corner slabs exist), every stored value junk heavy in signed zeros.
+    fn junk_shell(dim: Dim) -> (FieldSet, Pml) {
+        let (interior, max_box, npml) = match dim {
+            Dim::Two => (IntVect::new(40, 1, 24), IntVect::new(16, 1, 12), 6),
+            Dim::Three => (IntVect::new(14, 12, 10), IntVect::new(7, 6, 10), 4),
+        };
+        let interior = IndexBox::from_size(interior);
+        let geom = GridGeom {
+            dx: [1.0e-7, 1.5e-7, 0.8e-7],
+            x0: [0.0; 3],
+        };
+        let ba = BoxArray::chop(interior, max_box);
+        let mut fs = FieldSet::new(dim, ba, geom, Periodicity::none(interior), 2);
+        let mut pml = Pml::new(dim, interior, geom, [false; 3], npml);
+        let mut seed = 100;
+        for c in 0..3 {
+            for fa in [
+                &mut fs.e[c],
+                &mut fs.b[c],
+                &mut pml.esplit[c],
+                &mut pml.bsplit[c],
+            ] {
+                seed += 1;
+                crate::oracle::junk_fill(fa, seed);
+            }
+        }
+        (fs, pml)
+    }
+
+    fn assert_shells_bitwise(a: &(FieldSet, Pml), b: &(FieldSet, Pml)) {
+        use crate::oracle::assert_bitwise;
+        for c in 0..3 {
+            assert_bitwise(&a.0.e[c], &b.0.e[c], &format!("e[{c}]"));
+            assert_bitwise(&a.0.b[c], &b.0.b[c], &format!("b[{c}]"));
+            assert_bitwise(&a.1.esplit[c], &b.1.esplit[c], &format!("esplit[{c}]"));
+            assert_bitwise(&a.1.bsplit[c], &b.1.bsplit[c], &format!("bsplit[{c}]"));
+        }
+    }
+
+    /// The table-driven split update and the one-pass interface copies
+    /// store exactly the bits of the per-point `exp` update and the
+    /// region copies: 2-D and 3-D shells with corners (3-D: y-damped
+    /// rows too), multi-box interiors, for a parent step, a subcycled
+    /// rr = 2 patch step, and a step so short that `r dt` falls on both
+    /// sides of the 1e-12 cut.
+    #[test]
+    fn table_update_and_one_pass_exchange_match_reference_bitwise() {
+        for dim in [Dim::Two, Dim::Three] {
+            let base = junk_shell(dim);
+            let g = base.1.grading;
+            assert!(g.active.iter().filter(|&&a| a).count() == dim.axes().len());
+            let dt = 0.5 * max_dt(dim, &base.0.geom.dx);
+            // r dt at the shallowest staggered depth (half a cell) is
+            // 1e-13, so the next depths land around the cut.
+            let shallow = g.rate(0, g.interior.lo.x as f64 - 0.5);
+            let tiny = 1e-13 / shallow;
+            let rdts: Vec<f64> = (1..8).map(|h| g.rate(0, -0.5 * h as f64) * tiny).collect();
+            assert!(rdts.iter().any(|&r| r > 0.0 && r < 1e-12));
+            assert!(rdts.iter().any(|&r| r > 1e-12));
+            for step in [dt, dt / 2.0, tiny] {
+                let (mut a, mut b) = (base.clone(), base.clone());
+                a.1.exchange_e(&mut a.0);
+                reference::exchange_e(&mut b.1, &mut b.0);
+                assert_shells_bitwise(&a, &b);
+                a.1.advance_b(0.5 * step);
+                reference::advance_b(&mut b.1, 0.5 * step);
+                assert_shells_bitwise(&a, &b);
+                a.1.exchange_b(&mut a.0);
+                reference::exchange_b(&mut b.1, &mut b.0);
+                assert_shells_bitwise(&a, &b);
+                a.1.advance_e(step);
+                reference::advance_e(&mut b.1, step);
+                assert_shells_bitwise(&a, &b);
+            }
+        }
+    }
 
     #[test]
     fn shell_geometry_covers_active_axes() {

@@ -6,6 +6,7 @@
 //! moving-window shift steps included.
 
 use mrpic::amr::{ExchangePlan, IndexBox, IntVect};
+use mrpic::core::config::RunConfig;
 use mrpic::core::laser::antenna_for_a0;
 use mrpic::core::mr::MrConfig;
 use mrpic::core::profile::Profile;
@@ -117,6 +118,57 @@ fn step_is_bitwise_identical_across_thread_counts() {
     let b = run(&f32_deck, 4);
     assert_eq!(a.precision, Precision::F32Particles);
     check(&a, &b);
+}
+
+/// A small deck shaped like the `mr_hybrid` benchmark: a PML-terminated
+/// parent in four boxes with a filtered current, a solid foil and a gas
+/// ramp, a focused laser, and one rr = 2 patch with its own PMLs, so
+/// the field kernels of all three levels run in their parallel regions.
+const MR_HYBRID_SHAPED: &str = r#"{
+    "dimension": "2d",
+    "cells": [160, 1, 64],
+    "dx": [5e-8, 5e-8, 5e-8],
+    "periodic": [false, false, true],
+    "pml": 10,
+    "cfl": 0.6,
+    "shape_order": 2,
+    "max_box": [40, 1, 64],
+    "filter_passes": 1,
+    "t_end": 1.0,
+    "species": [
+        {"name": "solid", "ppc": [2, 1, 2],
+         "profile": {"type": "slab", "n0": 1.05e28, "axis": 0, "x0": 5.0e-6, "x1": 5.4e-6},
+         "u_thermal": [1e5, 1e5, 1e5]},
+        {"name": "gas", "ppc": [1, 1, 2],
+         "profile": {"type": "ramped", "n0": 2e25, "axis": 0, "up_start": 1.5e-6,
+                     "up_end": 2.5e-6, "down_start": 5.0e-6, "down_end": 5.0e-6},
+         "u_thermal": [1e5, 1e5, 1e5]}
+    ],
+    "lasers": [
+        {"a0": 3.0, "wavelength": 8e-7, "tau_fwhm": 5e-15, "t_peak": 8e-15,
+         "x_plane": 6e-7, "z0": 1.6e-6, "waist": 1e-6}
+    ],
+    "mr_patches": [
+        {"lo": [84, 0, 0], "hi": [124, 1, 64], "rr": 2, "n_transition": 3, "npml": 8}
+    ]
+}"#;
+
+/// The MR-shaped deck steps to the same `state_digest` on one rayon
+/// worker and on two: every field kernel (parent and both patches) runs
+/// its (component, fab) items in one region per half step, and the
+/// result must not depend on how those items are split across threads.
+#[test]
+fn mr_hybrid_shaped_digest_ignores_thread_count() {
+    let digest = |threads: usize| {
+        let cfg = RunConfig::from_json(MR_HYBRID_SHAPED).unwrap();
+        let (mut sim, _removals) = cfg.build().unwrap();
+        assert!(sim.pml.is_some() && sim.mr.is_some());
+        assert_eq!(sim.fs.nfabs(), 4);
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build();
+        pool.unwrap().install(|| sim.run(12));
+        sim.state_digest()
+    };
+    assert_eq!(digest(1), digest(2));
 }
 
 /// The live LB policy's heuristic cost source reads deterministic

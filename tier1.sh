@@ -21,6 +21,12 @@ cargo test -q -p mrpic-core --lib mr::
 # bodies (cell/nodal, 2-D/3-D, PML slabs, single box), fail in seconds
 # when a shift or exchange change moves a bit.
 cargo test -q -p mrpic-amr
+# Field fast lane: the field crate's tests, which hold the fused Yee
+# rows, the table-driven split-PML update, the one-pass PML interface
+# copies and the rolling-row current filter bit for bit against their
+# reference (oracle) bodies (2-D/3-D, multi-box, PML corners, junk
+# guards), fail in seconds when a field-kernel change moves a bit.
+cargo test -q -p mrpic-field
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
@@ -99,6 +105,20 @@ set -e
 test "$BAD_DECK_CODE" = 2
 grep -q 'max_box\[0\]' target/tier1_bad_max_box.stderr
 if grep -q panicked target/tier1_bad_max_box.stderr; then exit 1; fi
+
+# Hostile deck: a PML thinner than 4 cells is a config error — exit
+# exactly 2 with a message naming the field, never a panic.
+sed 's/"pml": 10,/"pml": 2,/' configs/hybrid_target_mr_2d.json \
+    > target/tier1_bad_pml.json
+grep -q '"pml": 2,' target/tier1_bad_pml.json
+set +e
+cargo run --release --bin mrpic_run -- target/tier1_bad_pml.json \
+    target/tier1_bad_pml_out --steps 6 2> target/tier1_bad_pml.stderr
+BAD_PML_CODE=$?
+set -e
+test "$BAD_PML_CODE" = 2
+grep -q 'pml' target/tier1_bad_pml.stderr
+if grep -q panicked target/tier1_bad_pml.stderr; then exit 1; fi
 
 # Seeded chaos smoke: the built-in fault plan injects delays, corruption,
 # and transient failures, then crashes rank 1 at step 20; the run must
