@@ -47,10 +47,6 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     /// Fold another counter set into this one (used to aggregate stats
     /// across fab arrays, PML shells, and MR levels into one step record).
     pub fn merge(&mut self, other: &CommStats) {

@@ -91,12 +91,6 @@ impl Fab {
         self.stagger.point_box(&self.cells)
     }
 
-    /// Grow `b` by this fab's guard widths.
-    #[inline]
-    pub fn grow_like(&self, b: &IndexBox) -> IndexBox {
-        b.grow_vec(self.ngrow)
-    }
-
     /// Strides/origin for fast indexing.
     #[inline]
     pub fn indexer(&self) -> FabIndexer {

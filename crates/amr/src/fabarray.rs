@@ -32,13 +32,6 @@ impl Periodicity {
         Self::new(domain, [true; 3])
     }
 
-    /// All periodic image shifts including the zero shift (first),
-    /// reaching one period per axis. Sufficient when guard widths do not
-    /// exceed the domain extent; use [`Self::shifts_for`] otherwise.
-    pub fn shifts_with_zero(&self) -> Vec<IntVect> {
-        self.shifts_for(IntVect::ONE)
-    }
-
     /// Periodic image shifts covering guard regions up to `reach` cells
     /// wide per axis (multiple periods when the guards are wider than the
     /// domain, e.g. thin domains with deep interpolation stencils).
@@ -257,10 +250,6 @@ impl FabArray {
 
     pub fn stats(&self) -> CommStats {
         self.stats
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Set all data (valid + guards) of all fabs.

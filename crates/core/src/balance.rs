@@ -90,38 +90,6 @@ impl CostTracker {
     }
 }
 
-/// Result of a rebalance evaluation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RebalanceDecision {
-    pub old_imbalance: f64,
-    pub new_imbalance: f64,
-    pub adopted: bool,
-    pub mapping: DistributionMapping,
-}
-
-/// Build a candidate mapping and decide whether to adopt it: adopt when
-/// it improves the max/mean imbalance by at least `min_gain`
-/// (e.g. 0.1 = 10 %).
-pub fn rebalance(
-    ba: &BoxArray,
-    current: &DistributionMapping,
-    tracker: &CostTracker,
-    strategy: Strategy,
-    min_gain: f64,
-) -> RebalanceDecision {
-    let costs = tracker.costs();
-    let old_imbalance = current.imbalance(costs);
-    let candidate = DistributionMapping::build(ba, current.nranks(), strategy, costs);
-    let new_imbalance = candidate.imbalance(costs);
-    let adopted = new_imbalance < old_imbalance * (1.0 - min_gain);
-    RebalanceDecision {
-        old_imbalance,
-        new_imbalance,
-        adopted,
-        mapping: if adopted { candidate } else { current.clone() },
-    }
-}
-
 /// Which per-box cost signal feeds the live policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -514,36 +482,6 @@ mod tests {
         let mut e = CostTracker::new(0);
         e.resize(2);
         assert_eq!(e.costs(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn rebalance_adopts_on_imbalance() {
-        let ba = ba();
-        // Round-robin start with a hotspot concentrated on rank 0's boxes.
-        let dm = DistributionMapping::build(&ba, 4, Strategy::RoundRobin, &[]);
-        let mut t = CostTracker::new(ba.len());
-        let mut costs = vec![1.0; ba.len()];
-        // Boxes owned by rank 0 are 100x hotter.
-        for b in dm.boxes_of(0) {
-            costs[b] = 100.0;
-        }
-        for _ in 0..60 {
-            t.record(&costs);
-        }
-        let d = rebalance(&ba, &dm, &t, Strategy::Knapsack, 0.1);
-        assert!(d.adopted, "{d:?}");
-        assert!(d.new_imbalance < 0.5 * d.old_imbalance);
-        assert!(d.mapping.imbalance(t.costs()) < 1.5);
-    }
-
-    #[test]
-    fn rebalance_keeps_balanced_mapping() {
-        let ba = ba();
-        let t = CostTracker::new(ba.len()); // uniform costs
-        let dm = DistributionMapping::build(&ba, 4, Strategy::Knapsack, t.costs());
-        let d = rebalance(&ba, &dm, &t, Strategy::Knapsack, 0.1);
-        assert!(!d.adopted);
-        assert_eq!(&d.mapping, &dm);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! stale plans built against the pre-restore window position would move
 //! the wrong cells.
 
-use crate::particles::{ParticleBuf, ParticleContainer};
+use crate::particles::ParticleBuf;
 use crate::sim::MovingWindow;
 use mrpic_amr::FabArray;
 use mrpic_field::fieldset::FieldSet;
@@ -308,13 +308,6 @@ impl Checkpoint {
             .iter()
             .map(|s| s.iter().map(|b| b.len()).sum::<usize>())
             .sum()
-    }
-}
-
-/// Convenience: deep-copy particle container (tests, ablations).
-pub fn clone_container(pc: &ParticleContainer) -> ParticleContainer {
-    ParticleContainer {
-        bufs: pc.bufs.clone(),
     }
 }
 

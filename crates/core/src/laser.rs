@@ -132,11 +132,6 @@ impl LaserAntenna {
         let dom = fs.domain();
         (dom.lo.x..dom.hi.x).contains(&i_plane)
     }
-
-    /// The x index of the plane in the current window.
-    pub fn plane_index(&self, fs: &FieldSet) -> i64 {
-        ((self.x_plane - fs.geom.x0[0]) / fs.geom.dx[0]).round() as i64
-    }
 }
 
 /// Helper: expected peak E for a pulse that should reach amplitude a0.
@@ -160,12 +155,6 @@ pub fn antenna_for_a0(
         theta: 0.0,
         pol: Polarization::S,
     }
-}
-
-/// Set the 3-D transverse (y) beam center on an antenna.
-pub fn with_y_center(mut l: LaserAntenna, y0: f64) -> LaserAntenna {
-    l.y0 = y0;
-    l
 }
 
 #[cfg(test)]

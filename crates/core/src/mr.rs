@@ -306,24 +306,6 @@ impl MrLevel {
         self.fine.bytes() + self.coarse.bytes() + self.aux.bytes()
     }
 
-    /// Seconds spent in guard/interface exchanges of the patch grids.
-    pub fn comm_seconds(&self) -> f64 {
-        self.fine.comm_seconds()
-            + self.coarse.comm_seconds()
-            + self.aux.comm_seconds()
-            + self.fine_pml.comm_seconds()
-            + self.coarse_pml.comm_seconds()
-    }
-
-    /// Exchange-plan builds across the patch grids.
-    pub fn plan_builds(&self) -> u64 {
-        self.fine.plan_builds()
-            + self.coarse.plan_builds()
-            + self.aux.plan_builds()
-            + self.fine_pml.plan_builds()
-            + self.coarse_pml.plan_builds()
-    }
-
     /// Aggregate communication counters across the patch grids and PMLs.
     pub fn comm_stats(&self) -> CommStats {
         let mut total = self.fine.comm_stats();

@@ -122,20 +122,14 @@ pub struct MovingWindow {
     pub inject_at_front: bool,
 }
 
-/// Per-step accounting.
+/// Per-step counters. Step times are in the step's telemetry record
+/// ([`StepRecord::phases`]).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct StepStats {
     pub pushed: usize,
     pub deleted: usize,
     pub window_shifts: u64,
     pub rebalances: u64,
-    /// Wall seconds in particle kernels this step.
-    pub particle_seconds: f64,
-    /// Wall seconds in the field solve this step.
-    pub field_seconds: f64,
-    /// Wall seconds in guard/interface exchanges this step (subset of the
-    /// particle/field phases above, not an additional phase).
-    pub exchange_seconds: f64,
 }
 
 /// The paper's load-balance metric over one step's per-rank records:
@@ -507,10 +501,99 @@ fn mr_partition(
     buf.partition3(inside(patch), inside(gather))
 }
 
-/// Indices of the particle phases in [`BoxTask::phase`].
+/// Indices of the particle sub-phases in [`BoxTask::laps`].
 const GATHER: usize = 0;
 const PUSH: usize = 1;
 const DEPOSIT: usize = 2;
+
+/// The phases of a step that [`StepClock`] charges. `Particle` is the
+/// gather/push/deposit region.
+#[derive(Clone, Copy)]
+enum Phase {
+    Other,
+    Sort,
+    Particle,
+    Sum,
+    Maxwell,
+    Mr,
+    Redistribute,
+    Window,
+    Lb,
+}
+
+impl Phase {
+    /// The phase's trace span (`Other` has none) and its seconds in `p`.
+    /// The particle region is kept in `deposit` until
+    /// [`StepClock::finish`] splits it.
+    fn slot(self, p: &mut PhaseTimes) -> (Option<&'static str>, &mut f64) {
+        match self {
+            Phase::Other => (None, &mut p.other),
+            Phase::Sort => (Some("sort"), &mut p.sort),
+            Phase::Particle => (Some("particle"), &mut p.deposit),
+            Phase::Sum => (Some("sum"), &mut p.sum),
+            Phase::Maxwell => (Some("maxwell"), &mut p.maxwell),
+            Phase::Mr => (Some("mr"), &mut p.mr),
+            Phase::Redistribute => (Some("redistribute"), &mut p.redistribute),
+            Phase::Window => (Some("window"), &mut p.window),
+            Phase::Lb => (Some("lb"), &mut p.lb),
+        }
+    }
+}
+
+/// The one clock of a step: every instant from its start to
+/// [`StepClock::finish`] is charged to exactly one [`Phase`], so the
+/// phases partition the step's wall time. The open phase also holds its
+/// trace span.
+struct StepClock {
+    start: Instant,
+    mark: Instant,
+    open: Phase,
+    span: Option<mrpic_trace::SpanGuard>,
+    phases: PhaseTimes,
+}
+
+impl StepClock {
+    fn start() -> Self {
+        let now = Instant::now();
+        Self {
+            start: now,
+            mark: now,
+            open: Phase::Other,
+            span: None,
+            phases: PhaseTimes::default(),
+        }
+    }
+
+    /// Charge the time since the last switch to the open phase, close
+    /// its span, then open `next` and its span.
+    fn enter(&mut self, next: Phase) {
+        let now = Instant::now();
+        *self.open.slot(&mut self.phases).1 += now.duration_since(self.mark).as_secs_f64();
+        self.mark = now;
+        self.span = None;
+        self.span = next
+            .slot(&mut self.phases)
+            .0
+            .map(|name| mrpic_trace::span!(name));
+        self.open = next;
+    }
+
+    /// End the step: its phase times and wall seconds. The particle
+    /// region's wall time is split among gather/push/deposit in
+    /// proportion to `laps` (the per-box laps summed over boxes), so the
+    /// three add up to it at any thread count. `fill` is an attribute
+    /// outside the partition.
+    fn finish(mut self, laps: [f64; 3], fill: f64) -> (PhaseTimes, f64) {
+        self.enter(Phase::Other);
+        let mut p = self.phases;
+        let (particle, lap_sum) = (p.deposit, laps.iter().sum::<f64>());
+        if lap_sum > 0.0 {
+            [p.gather, p.push, p.deposit] = laps.map(|l| particle * l / lap_sum);
+        }
+        p.fill = fill;
+        (p, self.mark.duration_since(self.start).as_secs_f64())
+    }
+}
 
 /// Per-species constants of one particle advance in kernel precision `T`.
 struct SpeciesStep<T> {
@@ -526,16 +609,15 @@ struct SpeciesStep<T> {
     chunk: usize,
 }
 
-/// Wall-clock split of one box's particle advance: each lap charges the
-/// time since the previous lap to one [`GATHER`]/[`PUSH`]/[`DEPOSIT`]
-/// phase, so the phases keep their meaning while they interleave per
-/// chunk.
-struct PhaseClock<'a> {
+/// Laps of one box's particle advance: each lap charges the time since
+/// the previous one to a [`GATHER`]/[`PUSH`]/[`DEPOSIT`] sub-phase, so
+/// they keep their meaning while they interleave per chunk.
+struct Laps<'a> {
     mark: Instant,
     acc: &'a mut [f64; 3],
 }
 
-impl PhaseClock<'_> {
+impl Laps<'_> {
     fn lap(&mut self, phase: usize) {
         let now = Instant::now();
         self.acc[phase] += now.duration_since(self.mark).as_secs_f64();
@@ -548,7 +630,7 @@ struct BoxRun<'a, T> {
     step: &'a SpeciesStep<T>,
     buf: &'a mut ParticleBuf,
     sc: &'a mut ChunkScratch<T>,
-    clock: PhaseClock<'a>,
+    laps: Laps<'a>,
 }
 
 impl<T: KernelReal> BoxRun<'_, T> {
@@ -591,7 +673,7 @@ impl<T: KernelReal> BoxRun<'_, T> {
                 T::operand(&buf.z[r.clone()], z0),
             ];
             gather(s.dim, s.order, pos, fgeom, fields, &mut em_out(em, len));
-            self.clock.lap(GATHER);
+            self.laps.lap(GATHER);
             // Momentum push, then vy at the half step from the same
             // kernel-precision momenta.
             {
@@ -649,7 +731,7 @@ impl<T: KernelReal> BoxRun<'_, T> {
                 T::operand(&buf.z[r.clone()], z1_s),
             ];
             let w = T::operand(&buf.w[r], w_s);
-            self.clock.lap(PUSH);
+            self.laps.lap(PUSH);
             deposit(
                 s.dim,
                 s.order,
@@ -662,7 +744,7 @@ impl<T: KernelReal> BoxRun<'_, T> {
                 jgeom,
                 j,
             );
-            self.clock.lap(DEPOSIT);
+            self.laps.lap(DEPOSIT);
         }
     }
 }
@@ -686,9 +768,8 @@ struct BoxTask<'a> {
     jy: &'a mut Fab,
     jz: &'a mut Fab,
     fine_j: &'a mut FineJBuf,
-    seconds: &'a mut f64,
-    /// Per-box [gather, push, deposit] seconds (telemetry phase split).
-    phase: &'a mut [f64; 3],
+    /// Per-box [gather, push, deposit] lap seconds.
+    laps: &'a mut [f64; 3],
 }
 
 /// Builder for [`Simulation`].
@@ -879,10 +960,9 @@ impl SimulationBuilder {
             precision: self.precision,
             scratch: ScratchPools::default(),
             box_seconds: Vec::new(),
-            box_phase: Vec::new(),
+            box_laps: Vec::new(),
             fine_j_pool: Vec::new(),
             metrics_mark: Vec::new(),
-            stats: StepStats::default(),
             telemetry: Telemetry::default(),
         }
     }
@@ -915,16 +995,16 @@ pub struct Simulation {
     pub precision: Precision,
     /// Per-thread particle workspaces.
     scratch: ScratchPools,
-    /// Per-box particle-phase seconds of the current step (reused).
+    /// Per-box particle cost of the current step: the sum of its laps,
+    /// floored at 1 ns (reused).
     box_seconds: Vec<f64>,
-    /// Per-box [gather, push, deposit] seconds of the current step.
-    box_phase: Vec<[f64; 3]>,
+    /// Per-box [gather, push, deposit] lap seconds of the current step.
+    box_laps: Vec<[f64; 3]>,
     /// Per-box fine-patch deposition buffers (reused).
     fine_j_pool: Vec<FineJBuf>,
     /// Metrics-registry snapshot at the end of the previous step, so a
     /// traced step can report per-step histogram deltas in telemetry.
     metrics_mark: Vec<mrpic_trace::metrics::HistSnapshot>,
-    pub stats: StepStats,
     /// Step records, physics probes, and NaN/Inf guards.
     pub telemetry: Telemetry,
 }
@@ -991,30 +1071,10 @@ impl Simulation {
         }
     }
 
-    /// Total wall seconds spent in guard/interface exchanges since
-    /// construction (parent grids, PML shells, MR patch grids).
-    pub fn comm_seconds_total(&self) -> f64 {
-        let mut s = self.fs.comm_seconds();
-        if let Some(pml) = &self.pml {
-            s += pml.comm_seconds();
-        }
-        if let Some(mr) = &self.mr {
-            s += mr.comm_seconds();
-        }
-        s
-    }
-
     /// Total exchange-plan constructions since start. Steady-state steps
     /// must not add to this once plans are warm.
     pub fn plan_builds_total(&self) -> u64 {
-        let mut n = self.fs.plan_builds();
-        if let Some(pml) = &self.pml {
-            n += pml.plan_builds();
-        }
-        if let Some(mr) = &self.mr {
-            n += mr.plan_builds();
-        }
-        n
+        self.comm_stats_total().plan_builds
     }
 
     /// Aggregate communication counters since construction (parent grids,
@@ -1100,7 +1160,6 @@ impl Simulation {
     /// determinism contract on [`crate::exchange::StepComm`].
     pub fn step_with(&mut self, comm: &mut dyn crate::exchange::StepComm) -> StepStats {
         let mut stats = StepStats::default();
-        let mut phases = PhaseTimes::default();
         let step_idx = self.istep;
         comm.begin_step(step_idx);
         let dt = self.dt;
@@ -1108,12 +1167,10 @@ impl Simulation {
         let sentinel_due = self.telemetry.sentinel_due(step_idx);
         let mut guard: Option<GuardTrip> = None;
         let _step_span = mrpic_trace::span!("step", -1, step_idx);
-        let t_step = std::time::Instant::now();
-        let t_part = t_step;
+        let mut clock = StepClock::start();
 
         // Periodic locality sort.
-        let t0 = std::time::Instant::now();
-        let sp = mrpic_trace::span!("sort");
+        clock.enter(Phase::Sort);
         if self.sort_interval > 0 && self.istep.is_multiple_of(self.sort_interval) && self.istep > 0
         {
             let geom = self.fs.geom;
@@ -1123,39 +1180,28 @@ impl Simulation {
                 }
             }
         }
-        drop(sp);
-        phases.sort = t0.elapsed().as_secs_f64();
 
         // 1. Zero currents.
+        clock.enter(Phase::Other);
         self.fs.zero_j();
         if let Some(mr) = &mut self.mr {
             mr.zero_j();
         }
+        let nfabs = self.fs.nfabs();
+        self.box_laps.clear();
+        self.box_laps.resize(nfabs, [0.0; 3]);
 
         // 2. Particle loop: gather, push, deposit (box-parallel).
-        let nfabs = self.fs.nfabs();
-        self.box_seconds.resize(nfabs, 0.0);
-        self.box_seconds.fill(0.0);
-        self.box_phase.resize(nfabs, [0.0; 3]);
-        self.box_phase.fill([0.0; 3]);
-        let nspecies = self.species.len();
-        let sp = mrpic_trace::span!("particle");
-        for si in 0..nspecies {
+        clock.enter(Phase::Particle);
+        for si in 0..self.species.len() {
             stats.pushed += match self.precision {
                 Precision::F64 => self.advance_species::<f64>(si, dt, CHUNK),
                 Precision::F32Particles => self.advance_species::<f32>(si, dt, CHUNK),
             };
         }
-        drop(sp);
-        for ph in &self.box_phase {
-            phases.gather += ph[0];
-            phases.push += ph[1];
-            phases.deposit += ph[2];
-        }
 
         // 3. Current exchanges, smoothing and MR coupling.
-        let t0 = std::time::Instant::now();
-        let sp = mrpic_trace::span!("sum");
+        clock.enter(Phase::Sum);
         {
             let period = self.fs.period;
             let [j0, j1, j2] = &mut self.fs.j;
@@ -1178,44 +1224,31 @@ impl Simulation {
             }
         }
         self.lasers = lasers;
-        drop(sp);
-        phases.sum = t0.elapsed().as_secs_f64();
-        stats.particle_seconds = t_part.elapsed().as_secs_f64();
 
         // 5. Field advance (B half / E / B half) with PML exchanges.
-        let t_field = std::time::Instant::now();
-        let sp = mrpic_trace::span!("maxwell");
+        clock.enter(Phase::Maxwell);
         self.advance_fields(dt, comm);
-        drop(sp);
-        phases.maxwell = t_field.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        let sp = mrpic_trace::span!("mr");
+        clock.enter(Phase::Mr);
         if let Some(mr) = &mut self.mr {
             mr.advance_fields(dt);
             mr.build_aux(&self.fs);
         }
-        drop(sp);
-        phases.mr = t0.elapsed().as_secs_f64();
-        stats.field_seconds = t_field.elapsed().as_secs_f64();
 
         if sentinel_due {
+            clock.enter(Phase::Other);
             guard = self.sentinel_fields(step_idx);
         }
 
         // 6. Particle redistribution.
-        let t0 = std::time::Instant::now();
-        let sp = mrpic_trace::span!("redistribute");
+        clock.enter(Phase::Redistribute);
         let geom = self.fs.geom;
         let period = self.fs.period;
         for pc in &mut self.parts {
             stats.deleted += comm.redistribute(pc, self.fs.boxarray(), &geom, &period);
         }
-        drop(sp);
-        phases.redistribute = t0.elapsed().as_secs_f64();
 
         // 7. Moving window.
-        let t0 = std::time::Instant::now();
-        let sp = mrpic_trace::span!("window");
+        clock.enter(Phase::Window);
         self.time += dt;
         self.istep += 1;
         if let Some(mut win) = self.window {
@@ -1229,15 +1262,13 @@ impl Simulation {
             }
             self.window = Some(win);
         }
-        drop(sp);
-        phases.window = t0.elapsed().as_secs_f64();
 
-        // 8. Cost tracking & trace-driven dynamic load balancing.
-        let t0 = std::time::Instant::now();
-        let sp = mrpic_trace::span!("lb");
-        for s in &mut self.box_seconds {
-            *s = s.max(1e-9);
-        }
+        // 8. Cost tracking & trace-driven dynamic load balancing. A
+        // box's cost is the sum of its laps.
+        clock.enter(Phase::Lb);
+        self.box_seconds.clear();
+        self.box_seconds
+            .extend(self.box_laps.iter().map(|l| (l[0] + l[1] + l[2]).max(1e-9)));
         match self.lb.as_ref().map(|p| p.cfg().cost_source) {
             Some(balance::CostSource::Heuristic) => {
                 let ba = self.fs.boxarray();
@@ -1299,13 +1330,9 @@ impl Simulation {
             }
             self.lb = Some(policy);
         }
-        drop(sp);
-        phases.lb = t0.elapsed().as_secs_f64();
 
+        clock.enter(Phase::Other);
         let comm_delta = self.comm_stats_total().delta_since(&comm0);
-        phases.fill = comm_delta.seconds;
-        stats.exchange_seconds = comm_delta.seconds;
-        self.stats = stats;
         // Per-step deltas of the trace metrics registry (message bytes,
         // recv-wait, per-box kernel times, ...), only while tracing.
         let trace_hists = if mrpic_trace::enabled() {
@@ -1330,11 +1357,15 @@ impl Simulation {
                     count: self.parts[si].total() as u64,
                 })
                 .collect();
+            let laps = self.box_laps.iter().fold([0.0; 3], |a, l| {
+                [a[0] + l[GATHER], a[1] + l[PUSH], a[2] + l[DEPOSIT]]
+            });
+            let (phases, seconds) = clock.finish(laps, comm_delta.seconds);
             self.telemetry.record(StepRecord {
                 step: step_idx,
                 time: self.time,
                 dt,
-                seconds: t_step.elapsed().as_secs_f64(),
+                seconds,
                 phases,
                 comm: comm_delta,
                 particles,
@@ -1519,7 +1550,7 @@ impl Simulation {
     /// most `chunk` particles at a time ([`BoxRun::segment`]), over three
     /// contiguous segments with a fixed gather source and deposit
     /// target each. Fine-patch deposition goes to per-box buffers reduced
-    /// in ascending box order afterwards, and the per-box cost timers
+    /// in ascending box order afterwards, and the per-box laps
     /// live on the work items, so the physics *and* the accounting are
     /// bitwise independent of the thread count.
     fn advance_species<T: KernelReal>(&mut self, si: usize, dt: f64, chunk: usize) -> usize {
@@ -1555,15 +1586,13 @@ impl Simulation {
             let mut jys = jy_arr.fabs_mut().iter_mut();
             let mut jzs = jz_arr.fabs_mut().iter_mut();
             let mut fine = self.fine_j_pool.iter_mut();
-            let mut secs = self.box_seconds.iter_mut();
-            let mut phs = self.box_phase.iter_mut();
+            let mut laps = self.box_laps.iter_mut();
             for (bi, buf) in self.parts[si].bufs.iter_mut().enumerate() {
                 let jx = jxs.next().expect("J layout matches particle boxes");
                 let jy = jys.next().expect("J layout matches particle boxes");
                 let jz = jzs.next().expect("J layout matches particle boxes");
                 let fine_j = fine.next().expect("pool sized to nboxes");
-                let seconds = secs.next().expect("box_seconds sized to nboxes");
-                let phase = phs.next().expect("box_phase sized to nboxes");
+                let laps = laps.next().expect("box_laps sized to nboxes");
                 if buf.is_empty() {
                     continue;
                 }
@@ -1575,8 +1604,7 @@ impl Simulation {
                     jy,
                     jz,
                     fine_j,
-                    seconds,
-                    phase,
+                    laps,
                 });
             }
         }
@@ -1600,12 +1628,12 @@ impl Simulation {
                     step: &step,
                     buf: &mut *task.buf,
                     sc,
-                    clock: PhaseClock {
+                    laps: Laps {
                         mark: t0,
-                        acc: &mut *task.phase,
+                        acc: &mut *task.laps,
                     },
                 };
-                run.clock.lap(GATHER);
+                run.laps.lap(GATHER);
                 let bi = task.bi;
                 let parent = EmViews {
                     ex: fab_view(&e[0], bi),
@@ -1641,7 +1669,7 @@ impl Simulation {
                     );
                     (target, mr.fine.geom.kernel_geom())
                 });
-                run.clock.lap(DEPOSIT);
+                run.laps.lap(DEPOSIT);
                 // [0, c_aux) gathers from the MR aux grid.
                 if c_aux > 0 {
                     let mr = mr.expect("partitioned => MR present");
@@ -1656,7 +1684,7 @@ impl Simulation {
                 }
                 // [c_aux, n) gathers from the parent.
                 let parent = (c_aux < n).then(|| T::fields(parent, fld));
-                run.clock.lap(GATHER);
+                run.laps.lap(GATHER);
                 if c_aux < c_fine {
                     let (target, fine_geom) = fine.as_mut().expect("c_fine > 0");
                     run.segment(
@@ -1669,7 +1697,7 @@ impl Simulation {
                 }
                 if let Some((target, _)) = fine {
                     target.finish();
-                    run.clock.lap(DEPOSIT);
+                    run.laps.lap(DEPOSIT);
                 }
                 if c_fine < n {
                     let mut target = T::target(
@@ -1680,7 +1708,7 @@ impl Simulation {
                         ],
                         tiles,
                     );
-                    run.clock.lap(DEPOSIT);
+                    run.laps.lap(DEPOSIT);
                     run.segment(
                         c_fine..n,
                         parent.as_ref().expect("c_aux <= c_fine < n"),
@@ -1689,12 +1717,10 @@ impl Simulation {
                         &geom,
                     );
                     target.finish();
-                    run.clock.lap(DEPOSIT);
+                    run.laps.lap(DEPOSIT);
                 }
-                let box_ns = t0.elapsed().as_nanos() as u64;
-                *task.seconds += box_ns as f64 * 1e-9;
                 if mrpic_trace::enabled() {
-                    box_kernel_hist().record(box_ns);
+                    box_kernel_hist().record(run.laps.mark.duration_since(t0).as_nanos() as u64);
                 }
             },
         );
@@ -1797,13 +1823,6 @@ impl Simulation {
                 );
             }
         }
-    }
-
-    /// Per-box particle-phase seconds measured during the last step
-    /// (empty before the first step). Distributed drivers aggregate
-    /// these by owner for per-rank load records.
-    pub fn box_seconds(&self) -> &[f64] {
-        &self.box_seconds
     }
 
     /// Field + particle energy (diagnostics).
@@ -2091,8 +2110,9 @@ mod tests {
             .build();
         let st = sim.step();
         assert_eq!(st.pushed, 16 * 16);
-        assert!(st.particle_seconds > 0.0);
-        assert!(st.field_seconds > 0.0);
+        let ph = sim.telemetry.last().expect("step record").phases;
+        assert!(ph.gather + ph.push + ph.deposit > 0.0);
+        assert!(ph.maxwell > 0.0);
         assert_eq!(sim.istep, 1);
     }
 

@@ -73,7 +73,10 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Per-phase wall-clock seconds for one step.
+/// Per-phase wall-clock seconds for one step. Every phase but `fill`
+/// is charged by the step's one clock, so they partition the step:
+/// [`PhaseTimes::total`] equals [`StepRecord::seconds`] at any thread
+/// count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimes {
     /// Field gather onto particles (aux/parent interpolation).
@@ -91,7 +94,8 @@ pub struct PhaseTimes {
     /// Parent-grid Maxwell update (B half / E / B half + PML).
     #[serde(default)]
     pub maxwell: f64,
-    /// Guard-fill exchanges (per-step comm seconds across all grids).
+    /// Guard-fill exchange seconds across all grids (the comm-stats
+    /// delta): an attribute that overlaps the phases, not one of them.
     #[serde(default)]
     pub fill: f64,
     /// MR patch field advance + aux build.
@@ -109,9 +113,28 @@ pub struct PhaseTimes {
     /// Moving-window shifts and fresh-plasma injection.
     #[serde(default)]
     pub window: f64,
+    /// Everything no named phase covers: current zeroing, the NaN/Inf
+    /// sentinel, probes and record assembly.
+    #[serde(default)]
+    pub other: f64,
 }
 
 impl PhaseTimes {
+    /// Sum of every phase but `fill`: the step's wall seconds.
+    pub fn total(&self) -> f64 {
+        self.gather
+            + self.push
+            + self.deposit
+            + self.sum
+            + self.maxwell
+            + self.mr
+            + self.lb
+            + self.sort
+            + self.redistribute
+            + self.window
+            + self.other
+    }
+
     /// Accumulate another step's phase times into this one.
     pub fn merge(&mut self, o: &PhaseTimes) {
         self.gather += o.gather;
@@ -125,6 +148,7 @@ impl PhaseTimes {
         self.sort += o.sort;
         self.redistribute += o.redistribute;
         self.window += o.window;
+        self.other += o.other;
     }
 }
 
@@ -224,6 +248,7 @@ pub struct StepRecord {
     pub dt: f64,
     /// Total wall seconds for the step.
     pub seconds: f64,
+    /// `seconds` by phase (see [`PhaseTimes`]).
     pub phases: PhaseTimes,
     /// Communication counters for this step only (delta of cumulative).
     pub comm: CommStats,

@@ -38,15 +38,6 @@ impl GridGeom {
         self.x0[d] + self.dx[d] * i as f64
     }
 
-    /// Lower corner of cell box `b`.
-    pub fn lo_corner(&self, b: &IndexBox) -> [f64; 3] {
-        [
-            self.node(0, b.lo.x),
-            self.node(1, b.lo.y),
-            self.node(2, b.lo.z),
-        ]
-    }
-
     /// Physical cell index (floor) of a position along axis `d`.
     #[inline]
     pub fn cell_of(&self, d: usize, x: f64) -> i64 {
@@ -172,16 +163,6 @@ impl FieldSet {
         }
     }
 
-    /// Mutable kernel views of the three current components of fab `i`.
-    pub fn j_views_mut(&mut self, i: usize) -> mrpic_kernels::deposit::JViews<'_, f64> {
-        let [jx, jy, jz] = &mut self.j;
-        mrpic_kernels::deposit::JViews {
-            jx: fab_view_mut(jx, i),
-            jy: fab_view_mut(jy, i),
-            jz: fab_view_mut(jz, i),
-        }
-    }
-
     /// Zero the current arrays (start of a deposition phase).
     pub fn zero_j(&mut self) {
         for c in 0..3 {
@@ -243,20 +224,6 @@ impl FieldSet {
         }
     }
 
-    /// Total exchange-plan builds across all nine arrays.
-    pub fn plan_builds(&self) -> u64 {
-        let mut n = 0;
-        self.for_each_array(|fa| n += fa.stats().plan_builds);
-        n
-    }
-
-    /// Total seconds spent in guard exchanges across all nine arrays.
-    pub fn comm_seconds(&self) -> f64 {
-        let mut s = 0.0;
-        self.for_each_array(|fa| s += fa.stats().seconds);
-        s
-    }
-
     /// Aggregate communication counters across all nine arrays.
     pub fn comm_stats(&self) -> CommStats {
         let mut total = CommStats::default();
@@ -285,11 +252,6 @@ pub fn guard_vec(dim: Dim, ngrow: i64) -> IntVect {
 /// Build a kernel view of component fab `i` of a fab array.
 pub fn fab_view(fa: &FabArray, i: usize) -> FieldView<'_, f64> {
     view_of_fab(fa.fab(i))
-}
-
-/// Mutable kernel view of component fab `i`.
-pub fn fab_view_mut(fa: &mut FabArray, i: usize) -> FieldViewMut<'_, f64> {
-    view_of_fab_mut(fa.fab_mut(i))
 }
 
 /// Kernel view of a single fab (component 0).

@@ -180,22 +180,6 @@ impl Pml {
         }
     }
 
-    /// Seconds spent in all exchanges of this PML (shell fills plus
-    /// interface copies) since construction.
-    pub fn comm_seconds(&self) -> f64 {
-        let shell: f64 = (0..3)
-            .map(|c| self.esplit[c].stats().seconds + self.bsplit[c].stats().seconds)
-            .sum();
-        shell + self.iface_seconds
-    }
-
-    /// Exchange-plan builds across the six split shell arrays.
-    pub fn plan_builds(&self) -> u64 {
-        (0..3)
-            .map(|c| self.esplit[c].stats().plan_builds + self.bsplit[c].stats().plan_builds)
-            .sum()
-    }
-
     /// Aggregate communication counters over the six split shell arrays,
     /// with the interface-copy seconds folded into `seconds`.
     pub fn comm_stats(&self) -> CommStats {

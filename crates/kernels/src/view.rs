@@ -16,11 +16,6 @@ pub struct Geom {
 }
 
 impl Geom {
-    #[inline(always)]
-    pub fn inv_dx(&self) -> [f64; 3] {
-        [1.0 / self.dx[0], 1.0 / self.dx[1], 1.0 / self.dx[2]]
-    }
-
     /// Particle position -> cell coordinate along axis `d`.
     #[inline(always)]
     pub fn xi<T: Real>(&self, d: usize, x: T) -> T {

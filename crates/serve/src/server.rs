@@ -225,60 +225,64 @@ impl Shared {
         self.stop.load(Ordering::SeqCst) || TERM_FLAG.load(Ordering::SeqCst)
     }
 
+    /// The status snapshot plus a `"status"` log event.
     fn status_report(&self, slots: usize, quantum: u64) -> StatusReport {
         let _sp = mrpic_trace::span!("serve.status");
         let mut st = self.lock();
-        let State {
-            queue,
-            jobs: jmap,
-            log,
-            slot_jobs,
-            ..
-        } = &mut *st;
-        // (running, waiting, parked) per tenant.
-        let mut per_tenant: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
-        let mut jobs = Vec::new();
-        let mut running = 0;
-        for (&id, j) in jmap.iter() {
-            let e = per_tenant.entry(j.tenant.clone()).or_default();
-            match j.state {
-                JobState::Running => {
-                    e.0 += 1;
-                    running += 1;
-                }
-                JobState::Waiting => e.1 += 1,
-                JobState::Parked => e.2 += 1,
-                JobState::Done | JobState::Failed => {}
-            }
-            jobs.push(JobStatus {
-                job_id: id,
+        let report = st.snapshot(self.t0.elapsed().as_secs_f64(), slots, quantum);
+        let njobs = st.jobs.len();
+        st.log.event("status", &[("jobs", njobs.to_string())]);
+        report
+    }
+
+    /// Scheduler state as a [`ServeMetrics`] block for the metrics hub.
+    /// The bridge polls every few hundred milliseconds, so unlike
+    /// [`Shared::status_report`] this writes no log line: a `"status"`
+    /// event per poll would flood the server log and perturb its
+    /// byte-stable event stream.
+    fn metrics_view(&self, slots: usize, quantum: u64) -> ServeMetrics {
+        let report = self
+            .lock()
+            .snapshot(self.t0.elapsed().as_secs_f64(), slots, quantum);
+        serve_metrics(&report)
+    }
+}
+
+impl State {
+    /// One pass over the job table: the [`StatusReport`] snapshot. Writes
+    /// no log line.
+    fn snapshot(&self, uptime_seconds: f64, slots: usize, quantum: u64) -> StatusReport {
+        let jobs: Vec<JobStatus> = self
+            .jobs
+            .iter()
+            .map(|(&job_id, j)| JobStatus {
+                job_id,
                 tenant: j.tenant.clone(),
                 priority: j.priority,
                 state: j.state.as_str().to_string(),
                 steps_done: j.steps_done,
                 preemptions: j.preemptions,
                 mean_imbalance: j.mean_imbalance,
-            });
-        }
-        let tenants = queue
-            .lane_states()
-            .into_iter()
-            .map(|(tenant, pass, _active)| {
-                let &(r, w, p) = per_tenant.get(&tenant).unwrap_or(&(0, 0, 0));
-                TenantStatus {
-                    tenant,
-                    running: r,
-                    waiting: w,
-                    parked: p,
-                    pass,
-                }
             })
             .collect();
-        let slots_detail = slot_jobs
+        let tenants = self
+            .queue
+            .lane_states()
+            .into_iter()
+            .map(|(tenant, pass, _active)| TenantStatus {
+                running: tally(&jobs, Some(&tenant), &[JobState::Running]),
+                waiting: tally(&jobs, Some(&tenant), &[JobState::Waiting]),
+                parked: tally(&jobs, Some(&tenant), &[JobState::Parked]),
+                tenant,
+                pass,
+            })
+            .collect();
+        let slots_detail = self
+            .slot_jobs
             .iter()
             .enumerate()
             .map(|(slot, &job_id)| {
-                let j = job_id.and_then(|id| jmap.get(&id));
+                let j = job_id.and_then(|id| self.jobs.get(&id));
                 SlotStatus {
                     slot,
                     job_id,
@@ -287,75 +291,71 @@ impl Shared {
                 }
             })
             .collect();
-        let report = StatusReport {
-            queue_depth: queue.depth(),
-            running,
+        StatusReport {
+            queue_depth: self.queue.depth(),
+            running: tally(&jobs, None, &[JobState::Running]),
             slots,
             quantum,
-            uptime_seconds: self.t0.elapsed().as_secs_f64(),
+            uptime_seconds,
             slots_detail,
             tenants,
             jobs,
-        };
-        log.event("status", &[("jobs", jmap.len().to_string())]);
-        report
+        }
     }
+}
 
-    /// Scheduler state as a [`ServeMetrics`] block for the metrics hub.
-    ///
-    /// Deliberately separate from [`Shared::status_report`]: the bridge
-    /// polls every few hundred milliseconds, and the status path logs a
-    /// `"status"` event per call — polling through it would flood the
-    /// server log and perturb its byte-stable event stream.
-    fn metrics_view(&self, slots: usize, quantum: u64) -> ServeMetrics {
-        let st = self.lock();
-        let mut per_tenant: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-        let mut jobs = Vec::new();
-        let mut running = 0u64;
-        for (&id, j) in st.jobs.iter() {
-            let e = per_tenant.entry(j.tenant.clone()).or_default();
-            e.0 += 1;
-            match j.state {
-                JobState::Running => {
-                    e.1 += 1;
-                    running += 1;
-                }
-                JobState::Waiting | JobState::Parked => e.2 += 1,
-                JobState::Done | JobState::Failed => {}
-            }
-            let slot = st
-                .slot_jobs
+/// Jobs of `tenant` (of every tenant for `None`) in one of `states`.
+fn tally(jobs: &[JobStatus], tenant: Option<&str>, states: &[JobState]) -> usize {
+    jobs.iter()
+        .filter(|j| tenant.is_none_or(|t| j.tenant == t))
+        .filter(|j| states.iter().any(|s| j.state == s.as_str()))
+        .count()
+}
+
+/// The metrics-hub view of a status snapshot: a tenant's `jobs` counts
+/// all its jobs and `waiting` its waiting and parked ones; a job's
+/// `slot` is the slot executing it.
+fn serve_metrics(report: &StatusReport) -> ServeMetrics {
+    let names: std::collections::BTreeSet<&str> =
+        report.jobs.iter().map(|j| j.tenant.as_str()).collect();
+    let tenants = names
+        .into_iter()
+        .map(|t| TenantMetrics {
+            tenant: t.to_string(),
+            jobs: report.jobs.iter().filter(|j| j.tenant == t).count() as u64,
+            running: tally(&report.jobs, Some(t), &[JobState::Running]) as u64,
+            waiting: tally(
+                &report.jobs,
+                Some(t),
+                &[JobState::Waiting, JobState::Parked],
+            ) as u64,
+        })
+        .collect();
+    let jobs = report
+        .jobs
+        .iter()
+        .map(|j| JobMetrics {
+            job_id: j.job_id,
+            tenant: j.tenant.clone(),
+            state: j.state.clone(),
+            priority: j.priority.into(),
+            steps_done: j.steps_done,
+            preemptions: j.preemptions,
+            slot: report
+                .slots_detail
                 .iter()
-                .position(|&s| s == Some(id))
-                .map(|s| s as u64);
-            jobs.push(JobMetrics {
-                job_id: id,
-                tenant: j.tenant.clone(),
-                state: j.state.as_str().to_string(),
-                priority: j.priority as i64,
-                steps_done: j.steps_done,
-                preemptions: j.preemptions,
-                slot,
-                mean_imbalance: j.mean_imbalance,
-            });
-        }
-        let tenants = per_tenant
-            .into_iter()
-            .map(|(tenant, (njobs, r, w))| TenantMetrics {
-                tenant,
-                jobs: njobs,
-                running: r,
-                waiting: w,
-            })
-            .collect();
-        ServeMetrics {
-            queue_depth: st.queue.depth() as u64,
-            running,
-            slots: slots as u64,
-            quantum,
-            jobs,
-            tenants,
-        }
+                .find(|s| s.job_id == Some(j.job_id))
+                .map(|s| s.slot as u64),
+            mean_imbalance: j.mean_imbalance,
+        })
+        .collect();
+    ServeMetrics {
+        queue_depth: report.queue_depth as u64,
+        running: report.running as u64,
+        slots: report.slots as u64,
+        quantum: report.quantum,
+        jobs,
+        tenants,
     }
 }
 
@@ -973,6 +973,110 @@ mod tests {
             serde_json::from_str::<serde_json::Value>(l).unwrap();
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The metrics view as it was computed before it became a projection
+    /// of the status snapshot: its own pass over the job table.
+    fn metrics_reference(st: &State, slots: usize, quantum: u64) -> ServeMetrics {
+        let mut per_tenant: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
+        let mut jobs = Vec::new();
+        let mut running = 0u64;
+        for (&id, j) in st.jobs.iter() {
+            let e = per_tenant.entry(j.tenant.clone()).or_default();
+            e.0 += 1;
+            match j.state {
+                JobState::Running => {
+                    e.1 += 1;
+                    running += 1;
+                }
+                JobState::Waiting | JobState::Parked => e.2 += 1,
+                JobState::Done | JobState::Failed => {}
+            }
+            let slot = st
+                .slot_jobs
+                .iter()
+                .position(|&s| s == Some(id))
+                .map(|s| s as u64);
+            jobs.push(JobMetrics {
+                job_id: id,
+                tenant: j.tenant.clone(),
+                state: j.state.as_str().to_string(),
+                priority: j.priority as i64,
+                steps_done: j.steps_done,
+                preemptions: j.preemptions,
+                slot,
+                mean_imbalance: j.mean_imbalance,
+            });
+        }
+        let tenants = per_tenant
+            .into_iter()
+            .map(|(tenant, (njobs, r, w))| TenantMetrics {
+                tenant,
+                jobs: njobs,
+                running: r,
+                waiting: w,
+            })
+            .collect();
+        ServeMetrics {
+            queue_depth: st.queue.depth() as u64,
+            running,
+            slots: slots as u64,
+            quantum,
+            jobs,
+            tenants,
+        }
+    }
+
+    #[test]
+    fn metrics_view_is_a_projection_of_the_status_snapshot() {
+        let job = |tenant: &str, priority, state, steps_done| Job {
+            tenant: tenant.to_string(),
+            priority,
+            runner: None,
+            state,
+            events: None,
+            steps_done,
+            preemptions: u64::from(state == JobState::Parked),
+            mean_imbalance: (state == JobState::Done).then_some(1.25),
+        };
+        let mut queue = FairQueue::new();
+        queue.push(2, "alice", 0);
+        queue.push(3, "bob", 5);
+        let st = State {
+            queue,
+            jobs: BTreeMap::from([
+                (1, job("alice", 9, JobState::Running, 40)),
+                (2, job("alice", 0, JobState::Parked, 10)),
+                (3, job("bob", 5, JobState::Waiting, 0)),
+                (4, job("bob", 1, JobState::Done, 80)),
+            ]),
+            next_id: 5,
+            log: ServerLog::new(None).unwrap(),
+            stats: ServerStats::default(),
+            slot_jobs: vec![None, Some(1)],
+        };
+        let reference = metrics_reference(&st, 2, 16);
+        assert_eq!(serve_metrics(&st.snapshot(0.0, 2, 16)), reference);
+        // The table exercises every tally: a slot, parked counted as
+        // waiting, done counted only in `jobs`.
+        assert_eq!(reference.jobs[0].slot, Some(1));
+        assert_eq!(
+            reference.tenants,
+            vec![
+                TenantMetrics {
+                    tenant: "alice".into(),
+                    jobs: 2,
+                    running: 1,
+                    waiting: 1,
+                },
+                TenantMetrics {
+                    tenant: "bob".into(),
+                    jobs: 2,
+                    running: 0,
+                    waiting: 1,
+                },
+            ]
+        );
     }
 
     #[test]

@@ -36,6 +36,7 @@ use mrpic::trace::analysis;
 use mrpic::trace::chrome;
 use mrpic::trace::Trace;
 use serde_json::Value;
+use std::io::Write;
 
 fn fail(msg: &str) -> ! {
     eprintln!("mrpic_prof: {msg}");
@@ -74,67 +75,72 @@ fn human_bytes(b: u64) -> String {
     }
 }
 
-fn report(path: &str, top_n: usize) {
+fn report(out: &mut impl Write, path: &str, top_n: usize) -> std::io::Result<()> {
     let trace = load_trace(path);
     let nranks = trace.nranks();
-    println!(
+    writeln!(
+        out,
         "{path}: {} spans, {} dropped, {} rank(s), wall {:.4} s",
         trace.spans.len(),
         trace.dropped,
         nranks,
         trace.wall_s(),
-    );
-    println!("\ntop spans by total time:");
-    println!(
+    )?;
+    writeln!(out, "\ntop spans by total time:")?;
+    writeln!(
+        out,
         "  {:<14} {:>8} {:>12} {:>12}",
         "name", "count", "total (s)", "self (s)"
-    );
+    )?;
     for a in analysis::top_spans(&trace, top_n) {
-        println!(
+        writeln!(
+            out,
             "  {:<14} {:>8} {:>12.6} {:>12.6}",
             a.name, a.count, a.total_s, a.self_s
-        );
+        )?;
     }
     match analysis::imbalance(&trace) {
-        Some(r) => println!("\nrank imbalance (max/mean busy): {r:.3}"),
-        None => println!("\nrank imbalance: n/a (fewer than two ranks traced)"),
+        Some(r) => writeln!(out, "\nrank imbalance (max/mean busy): {r:.3}")?,
+        None => writeln!(out, "\nrank imbalance: n/a (fewer than two ranks traced)")?,
     }
     if nranks > 0 {
         let busy = analysis::rank_busy_seconds(&trace);
         let waits = analysis::recv_wait_seconds(&trace, nranks);
-        println!("\nper-rank busy / recv-wait seconds:");
+        writeln!(out, "\nper-rank busy / recv-wait seconds:")?;
         for (r, w) in waits.iter().enumerate() {
             let b = busy.get(&(r as i32)).copied().unwrap_or(0.0);
-            println!("  rank {r}: busy {b:>10.6}  recv-wait {w:>10.6}");
+            writeln!(out, "  rank {r}: busy {b:>10.6}  recv-wait {w:>10.6}")?;
         }
         let m = analysis::comm_matrix(&trace, nranks);
         if m.iter().flatten().any(|&b| b > 0) {
-            println!("\ncomm matrix (payload bytes, row = sender):");
-            print!("  {:>8}", "src\\dst");
+            writeln!(out, "\ncomm matrix (payload bytes, row = sender):")?;
+            write!(out, "  {:>8}", "src\\dst")?;
             for d in 0..nranks {
-                print!(" {:>10}", d);
+                write!(out, " {:>10}", d)?;
             }
-            println!();
+            writeln!(out)?;
             for (s, row) in m.iter().enumerate() {
-                print!("  {s:>8}");
+                write!(out, "  {s:>8}")?;
                 for &b in row {
-                    print!(" {:>10}", human_bytes(b));
+                    write!(out, " {:>10}", human_bytes(b))?;
                 }
-                println!();
+                writeln!(out)?;
             }
         }
     }
     if let Some(cp) = analysis::critical_path(&trace) {
-        println!(
+        writeln!(
+            out,
             "\ncritical path: {:.6} s over {:.6} s wall ({:.1}% serialized)",
             cp.total_s,
             cp.wall_s,
             100.0 * cp.total_s / cp.wall_s.max(1e-12),
-        );
+        )?;
         for (name, s) in cp.by_name.iter().take(6) {
-            println!("  {name:<12} {s:>12.6} s");
+            writeln!(out, "  {name:<12} {s:>12.6} s")?;
         }
     }
+    Ok(())
 }
 
 /// One labeled scalar extracted from a report file, compared
@@ -245,12 +251,13 @@ fn metrics_of(path: &str) -> Vec<Metric> {
 }
 
 fn compare(
+    out: &mut impl Write,
     old_path: &str,
     new_path: &str,
     threshold_pct: f64,
     min_improve_pct: Option<f64>,
     only: &[String],
-) {
+) -> std::io::Result<()> {
     let keep = |label: &str| only.is_empty() || only.iter().any(|f| label.contains(f.as_str()));
     let old = metrics_of(old_path);
     let mut new = metrics_of(new_path);
@@ -258,10 +265,11 @@ fn compare(
     let mut regressed = 0usize;
     let mut unimproved = 0usize;
     let mut compared = 0usize;
-    println!(
+    writeln!(
+        out,
         "{:<36} {:>12} {:>12} {:>9}",
         "metric", "old", "new", "delta"
-    );
+    )?;
     for m in &new {
         let Some(o) = old.iter().find(|o| o.label == m.label) else {
             continue;
@@ -282,10 +290,11 @@ fn compare(
         } else {
             ""
         };
-        println!(
+        writeln!(
+            out,
             "{:<36} {:>12.6} {:>12.6} {:>+8.1}%{flag}",
             m.label, o.value, m.value, pct
-        );
+        )?;
     }
     if compared == 0 {
         fail("no common metrics between the two reports");
@@ -305,10 +314,15 @@ fn compare(
             );
             std::process::exit(4);
         }
-        println!("all {compared} metric(s) improved by at least {need:.1}%");
-        return;
+        return writeln!(
+            out,
+            "all {compared} metric(s) improved by at least {need:.1}%"
+        );
     }
-    println!("no regression above {threshold_pct:.1}% across {compared} metric(s)");
+    writeln!(
+        out,
+        "no regression above {threshold_pct:.1}% across {compared} metric(s)"
+    )
 }
 
 fn main() {
@@ -353,9 +367,11 @@ fn main() {
             _ => usage(),
         }
     }
-    match (compare_paths, trace_path) {
-        (Some((old, new)), None) => compare(&old, &new, threshold, min_improve, &only),
-        (None, Some(path)) => report(&path, top_n),
+    let out = &mut std::io::stdout().lock();
+    let written = match (compare_paths, trace_path) {
+        (Some((old, new)), None) => compare(out, &old, &new, threshold, min_improve, &only),
+        (None, Some(path)) => report(out, &path, top_n),
         _ => usage(),
-    }
+    };
+    mrpic::exit_on_stdout_error(written);
 }

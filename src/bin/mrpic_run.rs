@@ -85,6 +85,7 @@
 //! | 3    | the NaN/Inf invariant guard tripped (locally, or in the remote job's summary) |
 //! | 4    | transport loss: unrecoverable rank loss in a `--ranks` run, or the connection/job was lost after the server accepted it |
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use mrpic::core::config::RunConfig;
@@ -390,10 +391,8 @@ fn main() {
     if let Some(sock) = &cli.serve_status {
         match fetch_status(sock) {
             Ok(report) => {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report).unwrap_or_default()
-                );
+                let json = serde_json::to_string_pretty(&report).unwrap_or_default();
+                mrpic::exit_on_stdout_error(writeln!(std::io::stdout(), "{json}"));
                 return;
             }
             Err(e) => usage_error(&format!("status request failed: {e}")),
@@ -731,7 +730,7 @@ fn run_local<S: Stepper>(
     let ph = sim.telemetry.phase_totals();
     println!(
         "phase seconds (last {} steps): gather {:.3} | push {:.3} | deposit {:.3} | sum {:.3} \
-         | maxwell {:.3} | fill {:.3} | mr {:.3}",
+         | maxwell {:.3} | fill {:.3} | mr {:.3} | other {:.3}",
         sim.telemetry.records().len(),
         ph.gather,
         ph.push,
@@ -740,6 +739,7 @@ fn run_local<S: Stepper>(
         ph.maxwell,
         ph.fill,
         ph.mr,
+        ph.other,
     );
     if let Some(tp) = &cli.trace_out {
         mrpic::trace::disable();

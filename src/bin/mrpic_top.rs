@@ -18,6 +18,7 @@
 //! scraper and format checker without curl.
 
 use mrpic::obs::{parse_exposition, FleetSnapshot};
+use std::io::Write;
 
 fn usage() -> ! {
     eprintln!(
@@ -164,7 +165,8 @@ fn main() {
             std::process::exit(1);
         });
         eprintln!("mrpic_top: {} sample(s) from {addr}", samples.len());
-        print!("{body}");
+        let mut out = std::io::stdout().lock();
+        mrpic::exit_on_stdout_error(out.write_all(body.as_bytes()).and_then(|()| out.flush()));
         return;
     }
 
@@ -172,11 +174,11 @@ fn main() {
     loop {
         match fetch_snapshot(&addr) {
             Ok(snap) => {
-                if !once {
-                    // Clear + home, then the frame.
-                    print!("\x1b[2J\x1b[H");
-                }
-                print!("{}", render(&snap));
+                // Clear + home, then the frame.
+                let clear = if once { "" } else { "\x1b[2J\x1b[H" };
+                let mut out = std::io::stdout().lock();
+                let frame = write!(out, "{clear}{}", render(&snap)).and_then(|()| out.flush());
+                mrpic::exit_on_stdout_error(frame);
             }
             Err(e) => {
                 eprintln!("mrpic_top: {addr}: {e}");

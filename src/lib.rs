@@ -37,3 +37,17 @@ pub use mrpic_trace as trace;
 
 /// Workspace version string.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
+
+/// End a printing CLI's write to stdout (`mrpic_run --serve-status`,
+/// `mrpic_top`, `mrpic_prof`): a reader that closed the pipe early
+/// (`| head`, `| grep -q`) is a clean exit 0, not the panic `print!`
+/// raises; any other write error exits 1.
+pub fn exit_on_stdout_error(written: std::io::Result<()>) {
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}

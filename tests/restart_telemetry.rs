@@ -9,16 +9,20 @@
 //!   cadence.
 //! * The NaN/Inf sentinel must localize a poisoned field value to the
 //!   step, phase, grid, component, and box where it first appeared.
+//! * The per-phase times of every step record must partition the
+//!   step's wall time, at one and at two threads, serial and on ranks.
 
 use mrpic::amr::{IndexBox, IntVect};
 use mrpic::core::checkpoint::Checkpoint;
 use mrpic::core::laser::antenna_for_a0;
 use mrpic::core::mr::MrConfig;
 use mrpic::core::profile::Profile;
-use mrpic::core::sim::{ShapeOrder, Simulation, SimulationBuilder};
+use mrpic::core::sim::{Precision, ShapeOrder, Simulation, SimulationBuilder};
 use mrpic::core::species::Species;
 use mrpic::core::telemetry::StepRecord;
+use mrpic::dist::DistSim;
 use mrpic::field::fieldset::Dim;
+use rayon::ThreadPoolBuilder;
 
 /// Moving-window MR run: laser chasing a plasma ramp, window on from t=0.
 fn build_window_mr(seed: u64) -> Simulation {
@@ -211,4 +215,102 @@ fn nan_sentinel_localizes_poisoned_field() {
     assert_eq!(trip.box_id, 1);
     // The step record carries the same trip.
     assert_eq!(sim.telemetry.last().unwrap().guard.as_ref(), Some(trip));
+}
+
+/// Thermal plasma of `ppc` particles per cell (x, z) in 16-cell boxes.
+fn plasma_deck(periodic: bool, ppc: usize) -> SimulationBuilder {
+    SimulationBuilder::new(Dim::Two)
+        .domain(IntVect::new(48, 1, 32), [0.1e-6; 3], [0.0; 3])
+        .periodic([periodic, false, true])
+        .max_box(IntVect::new(16, 1, 16))
+        .order(ShapeOrder::Quadratic)
+        .cfl(0.6)
+        .seed(5)
+        .sort_interval(4)
+        .add_species(
+            Species::electrons("e", Profile::Uniform { n0: 1.0e25 }, [ppc, 1, ppc])
+                .with_thermal([5.0e5; 3]),
+        )
+}
+
+/// Non-periodic plasma under one rr = 2 patch, terminated by PML.
+fn mr_deck() -> Simulation {
+    let mut sim = plasma_deck(false, 2).pml(6).filter_passes(1).build();
+    sim.add_mr_patch(MrConfig {
+        patch: IndexBox::new(IntVect::new(16, 0, 8), IntVect::new(32, 1, 24)),
+        rr: 2,
+        n_transition: 2,
+        npml: 6,
+        subcycle: false,
+    });
+    sim
+}
+
+/// The serial decks of [`phases_partition_the_step`].
+fn partition_decks() -> [(&'static str, Simulation); 3] {
+    let window = plasma_deck(false, 2)
+        .pml(6)
+        .moving_window(0.0)
+        .precision(Precision::F32Particles);
+    [
+        ("periodic thermal plasma", plasma_deck(true, 3).build()),
+        ("moving window, f32 particles", window.build()),
+        ("one MR patch", mr_deck()),
+    ]
+}
+
+#[test]
+fn phases_partition_the_step() {
+    const STEPS: usize = 12;
+    let check = |label: &str, threads: usize, sim: &Simulation| {
+        let recs = sim.telemetry.records();
+        assert_eq!(recs.len(), STEPS, "{label}");
+        for r in recs {
+            let ph = &r.phases;
+            let ctx = format!("{label} at {threads} thread(s), step {}: {ph:?}", r.step);
+            assert!(
+                (ph.total() - r.seconds).abs() <= 1e-6,
+                "phases sum to {} s of a {} s step; {ctx}",
+                ph.total(),
+                r.seconds
+            );
+            for v in [
+                ph.gather,
+                ph.push,
+                ph.deposit,
+                ph.sum,
+                ph.maxwell,
+                ph.fill,
+                ph.mr,
+                ph.lb,
+                ph.sort,
+                ph.redistribute,
+                ph.window,
+                ph.other,
+            ] {
+                assert!(v >= 0.0, "negative phase; {ctx}");
+            }
+            assert!(ph.fill <= r.seconds, "fill exceeds the step; {ctx}");
+        }
+        let probed = recs.iter().filter(|r| r.probes.is_some()).count();
+        assert!(probed > 0, "{label}: no probe step");
+    };
+    for threads in [1, 2] {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            for (label, mut sim) in partition_decks() {
+                sim.telemetry.cfg.probe_interval = 5;
+                sim.run(STEPS);
+                check(label, threads, &sim);
+            }
+            let mut sim = mr_deck();
+            sim.telemetry.cfg.probe_interval = 5;
+            let mut d = DistSim::in_process(sim, 2);
+            d.run(STEPS).unwrap();
+            check("one MR patch on 2 ranks", threads, &d.sim);
+        });
+    }
 }

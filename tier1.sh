@@ -43,6 +43,9 @@ bash mrpic_benchmark/run.sh --smoke
 cargo run --release --bin mrpic_run -- configs/hybrid_target_mr_2d.json \
     target/tier1_smoke_out --steps 40
 test -s target/tier1_smoke_out/telemetry.jsonl
+# Every record carries the `other` phase that closes the partition of
+# the step's wall time.
+grep -q '"other":' target/tier1_smoke_out/telemetry.jsonl
 
 # Same config through the mrpic-dist multi-rank runtime (2 rank threads
 # over the in-process message-passing transport).
@@ -264,6 +267,12 @@ for _ in $(seq 300); do
     sleep 0.1
 done
 test "$LO_SEEN" = 1
+
+# A reader that closes the pipe after one byte must not make the status
+# printer panic on the broken pipe (it exits 0 instead).
+cargo run --release --bin mrpic_run -- --serve-status "$SOCK" \
+    2>"$SERVE_DIR/epipe.err" | head -c 1 >/dev/null
+if grep -q panicked "$SERVE_DIR/epipe.err"; then exit 1; fi
 
 # With job 1 live, the server's /metrics endpoint must expose the fleet
 # view: scheduler gauges plus the running job's per-tenant series.
