@@ -70,9 +70,6 @@ pub struct RunConfig {
     /// Diagnostics cadence in steps (0 = only at the end).
     #[serde(default)]
     pub diag_interval: u64,
-    /// Assemble per-step telemetry records (see `mrpic_core::telemetry`).
-    #[serde(default = "default_true")]
-    pub telemetry: bool,
     /// Physics-probe cadence in steps (field energy, Gauss residual);
     /// 0 disables the probes.
     #[serde(default = "default_probe_interval")]
@@ -92,9 +89,6 @@ fn default_cfl() -> f64 {
 }
 fn default_order() -> usize {
     2
-}
-fn default_true() -> bool {
-    true
 }
 
 fn default_seed() -> u64 {
@@ -704,7 +698,6 @@ impl RunConfig {
             b = b.add_laser(ant);
         }
         let mut sim = b.build();
-        sim.telemetry.cfg.enabled = self.telemetry;
         sim.telemetry.cfg.probe_interval = self.probe_interval;
         sim.telemetry.cfg.sentinel_interval = self.sentinel_interval;
         sim.telemetry.cfg.rotate_bytes = self.telemetry_rotate_bytes;
@@ -1037,12 +1030,17 @@ mod tests {
         assert!(RunConfig::from_json(&text).is_err());
     }
 
-    /// The kernel family is not configurable: a deck still carrying one
-    /// of the retired kernel-selection keys is rejected by name instead
-    /// of being silently ignored.
+    /// The kernel family is not configurable and every step emits its
+    /// telemetry record: a deck still carrying one of the retired
+    /// kernel-selection keys or the telemetry off-switch is rejected by
+    /// name instead of being silently ignored.
     #[test]
     fn rejects_retired_kernel_keys() {
-        for frag in ["\"lane_width\": 8,", "\"optimized_kernels\": false,"] {
+        for frag in [
+            "\"lane_width\": 8,",
+            "\"optimized_kernels\": false,",
+            "\"telemetry\": false,",
+        ] {
             let text =
                 SAMPLE.replacen("\"t_end\": 2e-14,", &format!("\"t_end\": 2e-14, {frag}"), 1);
             let err = RunConfig::from_json(&text).unwrap_err();
@@ -1061,7 +1059,6 @@ mod tests {
         );
         let cfg = RunConfig::from_json(&text).unwrap();
         let (sim, _) = cfg.build().unwrap();
-        assert!(sim.telemetry.cfg.enabled);
         assert_eq!(sim.telemetry.cfg.probe_interval, 5);
         assert_eq!(sim.telemetry.cfg.sentinel_interval, 0);
         assert_eq!(sim.telemetry.cfg.rotate_bytes, 1 << 20);

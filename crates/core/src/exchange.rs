@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-rank communication and timing record for one step of a
 /// distributed run, aggregated into [`crate::telemetry::StepRecord`].
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RankStepComm {
     pub rank: usize,
     /// Bytes this rank put on the transport this step (framed payloads).

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use crate::sim::{Simulation, StepStats};
+use crate::sim::Simulation;
 
 /// The process exit contract shared by every binary. Variants are
 /// declared in severity order, so the worst of several outcomes (a
@@ -73,8 +73,9 @@ pub trait Stepper {
 
     fn sim(&self) -> &Simulation;
     fn sim_mut(&mut self) -> &mut Simulation;
-    /// Advance one step.
-    fn advance(&mut self) -> Result<StepStats, Self::Error>;
+    /// Advance one step; its result is the step's record, the latest in
+    /// `sim().telemetry`.
+    fn advance(&mut self) -> Result<(), Self::Error>;
     /// Re-arm crash recovery after out-of-loop state surgery.
     fn refresh_epoch(&mut self) {}
     fn nranks(&self) -> usize {
@@ -105,8 +106,9 @@ impl Stepper for Simulation {
         self
     }
 
-    fn advance(&mut self) -> Result<StepStats, Infallible> {
-        Ok(self.step())
+    fn advance(&mut self) -> Result<(), Infallible> {
+        self.step();
+        Ok(())
     }
 }
 
@@ -189,17 +191,18 @@ impl RunSession {
             if sim.istep - first >= quantum {
                 break Ok(Stop::Quantum);
             }
-            let stats = match s.advance() {
-                Ok(stats) => stats,
-                Err(e) => break Err(e),
-            };
-            self.lb_adoptions += stats.rebalances;
-            // Run mean of the per-step imbalance (max/mean busy across
-            // ranks, per-box cost spread when serial): the load-balance
-            // A/B gate compares it across summary files.
-            if let Some(x) = s.sim().telemetry.records().back().and_then(|r| r.imbalance) {
-                self.imb_sum += x;
-                self.imb_steps += 1;
+            if let Err(e) = s.advance() {
+                break Err(e);
+            }
+            if let Some(rec) = s.sim().telemetry.last() {
+                self.lb_adoptions += rec.rebalances;
+                // Run mean of the per-step imbalance (max/mean busy
+                // across ranks, per-box cost spread when serial): the
+                // load-balance A/B gate compares it across summary files.
+                if let Some(x) = rec.imbalance {
+                    self.imb_sum += x;
+                    self.imb_steps += 1;
+                }
             }
             for observe in observers.iter_mut() {
                 observe(s);

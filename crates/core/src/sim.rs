@@ -122,16 +122,6 @@ pub struct MovingWindow {
     pub inject_at_front: bool,
 }
 
-/// Per-step counters. Step times are in the step's telemetry record
-/// ([`StepRecord::phases`]).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct StepStats {
-    pub pushed: usize,
-    pub deleted: usize,
-    pub window_shifts: u64,
-    pub rebalances: u64,
-}
-
 /// The paper's load-balance metric over one step's per-rank records:
 /// max/mean of each rank's busy seconds. Busy time is particle work
 /// plus exchange work *minus* the blocking recv-wait — a rank stalled
@@ -1149,7 +1139,7 @@ impl Simulation {
     }
 
     /// Advance one full PIC step (single-rank communication backend).
-    pub fn step(&mut self) -> StepStats {
+    pub fn step(&mut self) {
         self.step_with(&mut crate::exchange::LocalComm)
     }
 
@@ -1157,9 +1147,10 @@ impl Simulation {
     /// communication (guard fills, current sums, particle
     /// redistribution, rebalance adoption) through `comm`. Every
     /// conforming backend produces bitwise identical state — see the
-    /// determinism contract on [`crate::exchange::StepComm`].
-    pub fn step_with(&mut self, comm: &mut dyn crate::exchange::StepComm) -> StepStats {
-        let mut stats = StepStats::default();
+    /// determinism contract on [`crate::exchange::StepComm`]. The
+    /// step's result is its [`StepRecord`], the latest entry of
+    /// [`Simulation::telemetry`].
+    pub fn step_with(&mut self, comm: &mut dyn crate::exchange::StepComm) {
         let step_idx = self.istep;
         comm.begin_step(step_idx);
         let dt = self.dt;
@@ -1193,8 +1184,9 @@ impl Simulation {
 
         // 2. Particle loop: gather, push, deposit (box-parallel).
         clock.enter(Phase::Particle);
+        let mut pushed = 0;
         for si in 0..self.species.len() {
-            stats.pushed += match self.precision {
+            pushed += match self.precision {
                 Precision::F64 => self.advance_species::<f64>(si, dt, CHUNK),
                 Precision::F32Particles => self.advance_species::<f32>(si, dt, CHUNK),
             };
@@ -1243,21 +1235,23 @@ impl Simulation {
         clock.enter(Phase::Redistribute);
         let geom = self.fs.geom;
         let period = self.fs.period;
+        let mut deleted = 0;
         for pc in &mut self.parts {
-            stats.deleted += comm.redistribute(pc, self.fs.boxarray(), &geom, &period);
+            deleted += comm.redistribute(pc, self.fs.boxarray(), &geom, &period);
         }
 
         // 7. Moving window.
         clock.enter(Phase::Window);
         self.time += dt;
         self.istep += 1;
+        let mut window_shifts = 0;
         if let Some(mut win) = self.window {
             if self.time >= win.start_time {
                 win.accum += mrpic_kernels::constants::C * dt / self.fs.geom.dx[0];
                 while win.accum >= 1.0 {
                     win.accum -= 1.0;
                     self.shift_window_once(win.inject_at_front);
-                    stats.window_shifts += 1;
+                    window_shifts += 1;
                 }
             }
             self.window = Some(win);
@@ -1291,6 +1285,7 @@ impl Simulation {
         // rank records exist, per-box cost max/mean otherwise.
         let imbalance = rank_imbalance(&rank_records).or_else(|| box_imbalance(&self.box_seconds));
         let mut lb_decision: Option<balance::LbDecision> = None;
+        let mut rebalances = 0;
         // Take the policy out of `self` so candidate evaluation can
         // borrow the rest of the simulation state.
         if let Some(mut policy) = self.lb.take() {
@@ -1319,7 +1314,7 @@ impl Simulation {
                     self.fs.ngrow,
                 );
                 if let Some(mapping) = adopt {
-                    stats.rebalances += 1;
+                    rebalances += 1;
                     // Physically migrate fab data and particle tiles to
                     // the new owners (a no-op in a single address space).
                     comm.adopt_mapping(&self.dm, &mapping, &mut self.fs, &mut self.parts);
@@ -1343,48 +1338,45 @@ impl Simulation {
             Vec::new()
         };
 
-        if self.telemetry.cfg.enabled {
-            let probes = self.telemetry.probes_due(step_idx).then(|| Probes {
-                field_energy: mrpic_field::energy::field_energy(&self.fs),
-                gauss_residual: self.gauss_residual_norm(),
-            });
-            let particles = self
-                .species
-                .iter()
-                .enumerate()
-                .map(|(si, sp)| SpeciesCount {
-                    name: sp.name.clone(),
-                    count: self.parts[si].total() as u64,
-                })
-                .collect();
-            let laps = self.box_laps.iter().fold([0.0; 3], |a, l| {
-                [a[0] + l[GATHER], a[1] + l[PUSH], a[2] + l[DEPOSIT]]
-            });
-            let (phases, seconds) = clock.finish(laps, comm_delta.seconds);
-            self.telemetry.record(StepRecord {
-                step: step_idx,
-                time: self.time,
-                dt,
-                seconds,
-                phases,
-                comm: comm_delta,
-                particles,
-                pushed: stats.pushed as u64,
-                deleted: stats.deleted as u64,
-                window_shifts: stats.window_shifts,
-                rebalances: stats.rebalances,
-                probes,
-                guard,
-                rank_count: (!rank_records.is_empty()).then_some(rank_records.len()),
-                ranks: rank_records,
-                faults: fault_stats,
-                imbalance,
-                lb: lb_decision,
-                trace_hists,
-                precision: self.precision,
-            });
-        }
-        stats
+        let probes = self.telemetry.probes_due(step_idx).then(|| Probes {
+            field_energy: mrpic_field::energy::field_energy(&self.fs),
+            gauss_residual: self.gauss_residual_norm(),
+        });
+        let particles = self
+            .species
+            .iter()
+            .enumerate()
+            .map(|(si, sp)| SpeciesCount {
+                name: sp.name.clone(),
+                count: self.parts[si].total() as u64,
+            })
+            .collect();
+        let laps = self.box_laps.iter().fold([0.0; 3], |a, l| {
+            [a[0] + l[GATHER], a[1] + l[PUSH], a[2] + l[DEPOSIT]]
+        });
+        let (phases, seconds) = clock.finish(laps, comm_delta.seconds);
+        self.telemetry.record(StepRecord {
+            step: step_idx,
+            time: self.time,
+            dt,
+            seconds,
+            phases,
+            comm: comm_delta,
+            particles,
+            pushed: pushed as u64,
+            deleted: deleted as u64,
+            window_shifts,
+            rebalances,
+            probes,
+            guard,
+            rank_count: (!rank_records.is_empty()).then_some(rank_records.len()),
+            ranks: rank_records,
+            faults: fault_stats,
+            imbalance,
+            lb: lb_decision,
+            trace_hists,
+            precision: self.precision,
+        });
     }
 
     /// Order-fixed FNV-1a digest of the complete physics state: step
@@ -2098,7 +2090,7 @@ mod tests {
     }
 
     #[test]
-    fn step_stats_populated() {
+    fn step_record_populated() {
         let mut sim = SimulationBuilder::new(Dim::Two)
             .domain(IntVect::new(16, 1, 16), [1.0e-6; 3], [0.0; 3])
             .periodic([true, true, true])
@@ -2108,9 +2100,10 @@ mod tests {
                 [1, 1, 1],
             ))
             .build();
-        let st = sim.step();
-        assert_eq!(st.pushed, 16 * 16);
-        let ph = sim.telemetry.last().expect("step record").phases;
+        sim.step();
+        let rec = sim.telemetry.last().expect("step record");
+        assert_eq!(rec.pushed, 16 * 16);
+        let ph = rec.phases;
         assert!(ph.gather + ph.push + ph.deposit > 0.0);
         assert!(ph.maxwell > 0.0);
         assert_eq!(sim.istep, 1);

@@ -15,56 +15,37 @@
 //! the step, phase, grid, box id, and component that first went bad.
 //!
 //! Cadence is configurable via [`TelemetryConfig`]: probes default to every
-//! 20 steps, the sentinel to every step. Everything is off when `enabled`
-//! is false; timers still run (they are a handful of `Instant::now` calls
-//! per step) but no records are assembled or written.
+//! 20 steps, the sentinel to every step. Every step emits its record: it
+//! is the step's only result, so run tallies, the metrics samplers and
+//! the flight recorder all read the latest record in the ring.
 
 use mrpic_amr::{CommStats, Fab, FabArray};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::Write;
 
-/// Knobs for the telemetry subsystem (see `RunConfig` for the JSON keys).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// Knobs for the telemetry subsystem; `RunConfig::build` fills them from
+/// its `probe_interval`, `sentinel_interval` and `telemetry_rotate_bytes`.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TelemetryConfig {
-    /// Master switch: assemble and retain step records.
-    #[serde(default = "default_enabled")]
-    pub enabled: bool,
     /// Run the physics probes (field energy, Gauss residual) every this
     /// many steps; 0 disables them.
-    #[serde(default = "default_probe_interval")]
     pub probe_interval: u64,
     /// Run the NaN/Inf sentinel every this many steps; 0 disables it.
-    #[serde(default = "default_sentinel_interval")]
     pub sentinel_interval: u64,
-    /// Number of most-recent records kept in memory.
-    #[serde(default = "default_ring_capacity")]
+    /// Number of most-recent records kept in memory (at least one: the
+    /// latest record is always there).
     pub ring_capacity: usize,
     /// Rotate the JSONL sink once it exceeds this many bytes: the
     /// current file moves to `<name>.1` (replacing any previous one)
     /// and a fresh file continues. 0 disables rotation. Bounds the
     /// on-disk footprint of long runs at roughly twice the cap.
-    #[serde(default)]
     pub rotate_bytes: u64,
-}
-
-fn default_enabled() -> bool {
-    true
-}
-fn default_probe_interval() -> u64 {
-    20
-}
-fn default_sentinel_interval() -> u64 {
-    1
-}
-fn default_ring_capacity() -> usize {
-    256
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             probe_interval: 20,
             sentinel_interval: 1,
             ring_capacity: 256,
@@ -241,7 +222,7 @@ pub struct SpeciesCount {
 }
 
 /// One structured record per step.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StepRecord {
     pub step: u64,
     pub time: f64,
@@ -362,16 +343,12 @@ impl Telemetry {
 
     /// True when `istep` is a probe step (field energy, Gauss residual).
     pub fn probes_due(&self, istep: u64) -> bool {
-        self.cfg.enabled
-            && self.cfg.probe_interval != 0
-            && istep.is_multiple_of(self.cfg.probe_interval)
+        self.cfg.probe_interval != 0 && istep.is_multiple_of(self.cfg.probe_interval)
     }
 
     /// True when `istep` is a sentinel (NaN/Inf scan) step.
     pub fn sentinel_due(&self, istep: u64) -> bool {
-        self.cfg.enabled
-            && self.cfg.sentinel_interval != 0
-            && istep.is_multiple_of(self.cfg.sentinel_interval)
+        self.cfg.sentinel_interval != 0 && istep.is_multiple_of(self.cfg.sentinel_interval)
     }
 
     /// Append a record to the ring (and the JSONL sink when attached).
@@ -380,9 +357,6 @@ impl Telemetry {
     /// record is exactly the line a post-mortem must not lose to
     /// writer buffering.
     pub fn record(&mut self, rec: StepRecord) {
-        if !self.cfg.enabled {
-            return;
-        }
         let tripping = rec.guard.is_some();
         if let Some(trip) = &rec.guard {
             self.trips.push(trip.clone());
@@ -411,12 +385,10 @@ impl Telemetry {
                 self.rotate_sink();
             }
         }
-        if self.cfg.ring_capacity > 0 {
-            if self.ring.len() == self.cfg.ring_capacity {
-                self.ring.pop_front();
-            }
-            self.ring.push_back(rec);
+        if self.ring.len() >= self.cfg.ring_capacity.max(1) {
+            self.ring.pop_front();
         }
+        self.ring.push_back(rec);
     }
 
     /// Most recent records, oldest first (bounded by `ring_capacity`).
@@ -635,11 +607,6 @@ mod tests {
         let t = Telemetry::new(TelemetryConfig::default());
         assert!(t.sentinel_due(0) && t.sentinel_due(7));
         assert!(t.probes_due(0) && t.probes_due(40) && !t.probes_due(7));
-        let off = Telemetry::new(TelemetryConfig {
-            enabled: false,
-            ..TelemetryConfig::default()
-        });
-        assert!(!off.sentinel_due(0) && !off.probes_due(0));
     }
 
     #[test]

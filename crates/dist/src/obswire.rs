@@ -52,15 +52,6 @@ impl MetricsPusher {
         }
     }
 
-    /// A pusher that never sends (no `--metrics-sock` given).
-    pub fn disabled() -> Self {
-        Self {
-            stream: None,
-            src: 0,
-            seq: 0,
-        }
-    }
-
     pub fn is_connected(&self) -> bool {
         self.stream.is_some()
     }
@@ -184,7 +175,5 @@ mod tests {
         let mut p = MetricsPusher::connect(Path::new("/nonexistent/metrics.sock"), 0);
         assert!(!p.is_connected());
         p.push(&RankMetrics::default());
-        let mut d = MetricsPusher::disabled();
-        d.push(&RankMetrics::default());
     }
 }

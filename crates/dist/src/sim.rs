@@ -49,7 +49,7 @@ use crate::transport::{
 use mrpic_amr::{DistributionMapping, Strategy};
 use mrpic_core::checkpoint::Checkpoint;
 use mrpic_core::run::{Exit, Stepper};
-use mrpic_core::sim::{Simulation, StepStats};
+use mrpic_core::sim::Simulation;
 use mrpic_obs::{dump_recorder, with_recorder, FlightEvent};
 
 /// Why [`DistSim::step`] (or [`DistSim::resize`]) could not complete.
@@ -447,6 +447,7 @@ impl DistSim {
             to: target,
         });
         with_recorder(|r| {
+            r.set_generation(self.resize_log.len() as u64);
             r.push(FlightEvent::Resize {
                 step: self.sim.istep,
                 from,
@@ -533,7 +534,7 @@ impl DistSim {
     /// Advance one step through the distributed backend, recovering from
     /// an injected rank crash if one surfaces. An error ends the run; it
     /// is also pushed to the flight recorder.
-    pub fn step(&mut self) -> Result<StepStats, StepError> {
+    pub fn step(&mut self) -> Result<(), StepError> {
         let step = self.sim.istep;
         let out = self.try_step();
         if let Err(e) = &out {
@@ -555,7 +556,7 @@ impl DistSim {
         Ok(())
     }
 
-    fn try_step(&mut self) -> Result<StepStats, StepError> {
+    fn try_step(&mut self) -> Result<(), StepError> {
         while let Some(ev) = self.elastic.front().copied() {
             if ev.step > self.sim.istep {
                 break;
@@ -566,17 +567,17 @@ impl DistSim {
         if self.fault_plan().is_some() && self.sim.istep.is_multiple_of(self.epoch_interval) {
             self.epoch = Some(Checkpoint::capture(&self.sim));
         }
-        let stats = self.sim.step_with(&mut self.comm);
+        self.sim.step_with(&mut self.comm);
         match self.comm.take_loss() {
             Some(loss) => self.recover(loss),
-            None => Ok(stats),
+            None => Ok(()),
         }
     }
 
     /// Survive `loss`: roll back to the last checkpoint epoch, shrink
     /// the rank set, and replay. The drained step left finite-but-stale
     /// state behind; the restore discards all of it.
-    fn recover(&mut self, loss: RankLoss) -> Result<StepStats, StepError> {
+    fn recover(&mut self, loss: RankLoss) -> Result<(), StepError> {
         let survivors = self.nranks() - 1;
         let Some(mut replay_plan) = self.fault_plan().filter(|_| survivors > 0).cloned() else {
             return Err(StepError::RankLoss(loss));
@@ -618,11 +619,10 @@ impl DistSim {
             })
         });
         dump_recorder("rank_loss");
-        let mut last = StepStats::default();
         for _ in 0..replayed {
-            last = self.try_step()?;
+            self.try_step()?;
         }
-        Ok(last)
+        Ok(())
     }
 
     /// Force an immediate rebalance adoption, physically migrating box
@@ -663,7 +663,7 @@ impl Stepper for DistSim {
         &mut self.sim
     }
 
-    fn advance(&mut self) -> Result<StepStats, StepError> {
+    fn advance(&mut self) -> Result<(), StepError> {
         self.step()
     }
 

@@ -14,28 +14,30 @@
 //! - [`http`] serves the hub on an opt-in TCP listener (`GET /metrics`
 //!   for scrapers, `GET /snapshot` for `mrpic_top`).
 //! - [`FlightRecorder`] keeps a bounded ring of the most recent step
-//!   records, LB decisions, guard trips, and transport errors, and
-//!   dumps it as `blackbox.json` on guard trip, rank loss, panic, or
-//!   SIGUSR1 — so a crashed rank no longer takes its last seconds of
-//!   context to the grave.
+//!   records (LB decisions and guard trips inside them), transport
+//!   errors, recoveries and resizes, and dumps it as `blackbox.json` on
+//!   guard trip, rank loss, panic, or SIGUSR1 — so a crashed rank no
+//!   longer takes its last seconds of context to the grave.
+//! - [`DriverObs`] is the stack both CLI drivers arm around their step
+//!   loop: the recorder, the rank samplers, and the end-of-run reports.
 //!
-//! The plane is opt-in: with no hub attached the cost is zero, and with
-//! one attached the per-step cost is a ring push plus a mutex-guarded
-//! map insert.
+//! Sampling is opt-in: with no hub or pusher attached no sampler runs.
+//! The recorder always runs, at one record clone and ring push per step.
 //!
 //! [`StepRecord`]: mrpic_core::telemetry::StepRecord
 
+pub mod driver;
 pub mod expo;
 pub mod http;
 pub mod hub;
 pub mod recorder;
 pub mod snapshot;
 
+pub use driver::{DriverObs, Publish};
 pub use expo::{parse as parse_exposition, render as render_exposition, Sample};
 pub use hub::MetricsHub;
 pub use recorder::{
-    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, observe_step,
-    sigusr1_pending, with_recorder, FlightEvent, FlightRecorder, BLACKBOX_SCHEMA,
+    dump_recorder, install_recorder, with_recorder, FlightEvent, FlightRecorder, BLACKBOX_SCHEMA,
 };
 pub use snapshot::{
     FleetSnapshot, JobMetrics, RankMetrics, RankSampler, ServeMetrics, TenantMetrics,

@@ -2,14 +2,13 @@
 //! dumped as `blackbox.json` when something goes wrong.
 //!
 //! Triggers: invariant-guard trip, unrecoverable transport/rank loss,
-//! panic (via [`install_panic_dump`]), and SIGUSR1 (via
-//! [`arm_sigusr1`], polled from the step loop — the handler itself
-//! only sets a flag, so it stays async-signal-safe). Each event
+//! panic, and SIGUSR1 (all armed by [`crate::DriverObs::arm`]; the
+//! signal is polled from the step loop — the handler itself only sets
+//! a flag, so it stays async-signal-safe). Each event
 //! carries the step it happened at; the dump records the rank, mesh
 //! generation, and the last recorded step so a post-mortem can line
 //! the blackbox up against `summary.json`'s `failure_step`.
 
-use mrpic_core::sim::Simulation;
 use mrpic_core::telemetry::StepRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -21,35 +20,18 @@ use std::sync::Mutex;
 pub const BLACKBOX_SCHEMA: &str = "mrpic-blackbox-v1";
 
 /// One entry in the flight-recorder ring.
+///
+/// `Step` carries an inline `StepRecord` because the vendored serde
+/// derive cannot see through `Box` (the waiver serve's `Response` has);
+/// nearly every entry is a `Step` anyway.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum FlightEvent {
-    /// One completed step (the compressed essentials of a StepRecord).
-    Step {
-        step: u64,
-        time: f64,
-        seconds: f64,
-        #[serde(default)]
-        imbalance: Option<f64>,
-        #[serde(default)]
-        rank_count: Option<usize>,
-    },
-    /// A load-balance evaluation that completed at this step.
-    Lb {
-        step: u64,
-        trigger_imbalance: f64,
-        #[serde(default)]
-        adopted: Option<String>,
-        bytes_migrated: u64,
-    },
-    /// The NaN/Inf invariant guard tripped.
-    GuardTrip {
-        step: u64,
-        phase: String,
-        grid: String,
-        component: String,
-        box_id: usize,
-    },
+    /// One completed step: its whole telemetry record, LB decision and
+    /// guard trip included, as its JSONL line carries it. A struct
+    /// variant: internally tagged enums take no newtypes.
+    Step { record: StepRecord },
     /// A transport-layer error or rank loss.
     TransportError { step: u64, detail: String },
     /// A completed crash recovery (rollback + replay).
@@ -61,20 +43,15 @@ pub enum FlightEvent {
     },
     /// An elastic rank-count change.
     Resize { step: u64, from: usize, to: usize },
-    /// Free-form annotation from the driver.
-    Note { step: u64, text: String },
 }
 
 impl FlightEvent {
     fn step(&self) -> u64 {
         match self {
-            FlightEvent::Step { step, .. }
-            | FlightEvent::Lb { step, .. }
-            | FlightEvent::GuardTrip { step, .. }
-            | FlightEvent::TransportError { step, .. }
+            FlightEvent::Step { record } => record.step,
+            FlightEvent::TransportError { step, .. }
             | FlightEvent::Recovery { step, .. }
-            | FlightEvent::Resize { step, .. }
-            | FlightEvent::Note { step, .. } => *step,
+            | FlightEvent::Resize { step, .. } => *step,
         }
     }
 }
@@ -87,6 +64,7 @@ pub struct BlackboxDump {
     /// `"transport_loss"`, `"panic"`, or `"sigusr1"`.
     pub reason: String,
     pub rank: usize,
+    /// Elastic resizes the rank had gone through when it dumped.
     pub generation: u64,
     /// Highest step across recorded events.
     pub last_step: u64,
@@ -125,35 +103,6 @@ impl FlightRecorder {
             self.ring.pop_front();
         }
         self.ring.push_back(ev);
-    }
-
-    /// Fold one step record into the ring: the step itself, its LB
-    /// decision (if any), and its guard trip (if any).
-    pub fn observe_record(&mut self, rec: &StepRecord) {
-        self.push(FlightEvent::Step {
-            step: rec.step,
-            time: rec.time,
-            seconds: rec.seconds,
-            imbalance: rec.imbalance,
-            rank_count: rec.rank_count,
-        });
-        if let Some(lb) = &rec.lb {
-            self.push(FlightEvent::Lb {
-                step: lb.step,
-                trigger_imbalance: lb.trigger_imbalance,
-                adopted: lb.adopted.clone(),
-                bytes_migrated: lb.bytes_migrated,
-            });
-        }
-        if let Some(g) = &rec.guard {
-            self.push(FlightEvent::GuardTrip {
-                step: g.step,
-                phase: g.phase.clone(),
-                grid: g.grid.clone(),
-                component: g.component.clone(),
-                box_id: g.box_id,
-            });
-        }
     }
 
     /// Highest step across recorded events, 0 when empty.
@@ -209,23 +158,9 @@ pub fn dump_recorder(reason: &str) -> Option<PathBuf> {
     }
 }
 
-/// The flight recorder's per-step run-loop observer: fold the step's
-/// telemetry record into the installed ring, and dump the ring if a
-/// SIGUSR1 arrived since the last step.
-pub fn observe_step(sim: &Simulation) {
-    if let Some(rec) = sim.telemetry.records().back() {
-        with_recorder(|r| r.observe_record(rec));
-    }
-    if sigusr1_pending() {
-        if let Some(p) = dump_recorder("sigusr1") {
-            eprintln!("SIGUSR1: flight recorder -> {}", p.display());
-        }
-    }
-}
-
 /// Chain a panic hook that dumps the installed recorder (reason
 /// `"panic"`) before the default hook runs. Call once per process.
-pub fn install_panic_dump() {
+pub(crate) fn install_panic_dump() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let _ = dump_recorder("panic");
@@ -248,14 +183,14 @@ extern "C" fn on_sigusr1(_signum: i32) {
 /// Route SIGUSR1 (10) into a flag the step loop polls via
 /// [`sigusr1_pending`]. The handler only sets the flag; the dump
 /// happens on the polling thread.
-pub fn arm_sigusr1() {
+pub(crate) fn arm_sigusr1() {
     unsafe {
         signal(10, on_sigusr1);
     }
 }
 
 /// Consume a pending SIGUSR1, if one arrived since the last poll.
-pub fn sigusr1_pending() -> bool {
+pub(crate) fn sigusr1_pending() -> bool {
     SIGUSR1_FLAG.swap(false, Ordering::SeqCst)
 }
 
@@ -275,11 +210,7 @@ mod tests {
         let mut r = FlightRecorder::new(2, dir.join("blackbox.json"), 3);
         for step in 0..10u64 {
             r.push(FlightEvent::Step {
-                step,
-                time: 0.0,
-                seconds: 1e-3,
-                imbalance: None,
-                rank_count: Some(2),
+                record: blank_record(step),
             });
         }
         assert_eq!(r.last_step(), 9);
@@ -306,16 +237,16 @@ mod tests {
             component: "Ex".into(),
             box_id: 3,
         });
-        r.observe_record(&rec);
+        r.push(FlightEvent::Step { record: rec });
         let path = r.dump("guard_trip").unwrap();
         let doc: BlackboxDump =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.reason, "guard_trip");
         assert_eq!(doc.last_step, 7);
-        assert!(doc
-            .events
-            .iter()
-            .any(|e| matches!(e, FlightEvent::GuardTrip { step: 7, .. })));
+        assert!(doc.events.iter().any(|e| matches!(
+            e,
+            FlightEvent::Step { record } if record.guard.as_ref().is_some_and(|g| g.box_id == 3)
+        )));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -355,9 +286,8 @@ mod tests {
         });
         install_recorder(r);
         with_recorder(|r| {
-            r.push(FlightEvent::Note {
-                step: 5,
-                text: "checkpoint".into(),
+            r.push(FlightEvent::Step {
+                record: blank_record(5),
             })
         });
         let path = dump_recorder("transport_loss").expect("dump must succeed");

@@ -346,11 +346,9 @@ impl RankSampler {
             c.particle_seconds += rec.phases.gather + rec.phases.push + rec.phases.deposit;
         }
         self.window_busy += rec.seconds;
-        if let Some(lb) = &rec.lb {
-            if lb.adopted.is_some() {
-                c.lb_adoptions += 1;
-                c.last_lb_step = Some(lb.step);
-            }
+        if rec.rebalances > 0 {
+            c.lb_adoptions += rec.rebalances;
+            c.last_lb_step = Some(rec.step);
         }
         if rec.guard.is_some() {
             c.guard_trips += 1;
@@ -488,6 +486,21 @@ mod tests {
         });
         s.observe(&r);
         assert_eq!(s.sample().guard_trips, 1);
+    }
+
+    /// An adoption counts with the record of the step that made it, so
+    /// one made on the final step is not lost waiting for a later
+    /// record, and the count equals the run's `lb_adoptions`.
+    #[test]
+    fn sampler_counts_an_adoption_on_the_final_step() {
+        let mut s = RankSampler::new(0);
+        s.observe(&rec(8, None));
+        let mut last = rec(9, None);
+        last.rebalances = 1;
+        s.observe(&last);
+        let m = s.sample();
+        assert_eq!(m.lb_adoptions, 1);
+        assert_eq!(m.last_lb_step, Some(9));
     }
 
     #[test]

@@ -39,10 +39,7 @@
 use mrpic::core::config::RunConfig;
 use mrpic::core::run::{Exit, RunSession};
 use mrpic::dist::{parse_elastic_plan, DistSim, MeshCfg, MetricsPusher};
-use mrpic::obs::{
-    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, observe_step, FlightRecorder,
-    RankSampler,
-};
+use mrpic::obs::{dump_recorder, DriverObs, Publish};
 
 fn req<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, what: &str) -> T {
     args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -142,15 +139,15 @@ fn main() {
     // Per-worker observability: flight recorder into this rank's own
     // outdir, plus (when the supervisor asked) a best-effort metrics
     // push channel. Neither touches the deterministic wire schedule.
-    install_recorder(FlightRecorder::new(rank, outdir.join("blackbox.json"), 256));
-    install_panic_dump();
-    arm_sigusr1();
-    let mut pusher = match &metrics_sock {
-        Some(path) => MetricsPusher::connect(path, rank),
-        None => MetricsPusher::disabled(),
+    let publish = match &metrics_sock {
+        Some(path) => {
+            let mut pusher = MetricsPusher::connect(path, rank);
+            Publish::Own(Box::new(move |m| pusher.push(&m)))
+        }
+        None => Publish::Off,
     };
-    let mut sampler = RankSampler::new(rank);
-    sampler.include_registry = true;
+    let label = format!("mrpic_rank: rank {rank}: ");
+    let mut obs = DriverObs::arm(rank, &outdir, &label, publish, metrics_interval);
 
     let mut dist = DistSim::process_rank(sim, mesh, rank).unwrap_or_else(|e| {
         eprintln!("mrpic_rank: rank {rank} cannot join the socket mesh: {e}");
@@ -165,29 +162,13 @@ fn main() {
     }
 
     let mut session = RunSession::new(cfg.t_end, removals).max_steps(max_steps);
-    let mut push = |d: &mut DistSim| {
-        if !pusher.is_connected() {
-            return;
-        }
-        if let Some(rec) = d.sim.telemetry.records().back() {
-            sampler.observe(rec);
-        }
-        if d.sim.istep.is_multiple_of(metrics_interval) {
-            sampler.set_generation(d.resize_log.len() as u64);
-            pusher.push(&sampler.sample());
-        }
-    };
     let run = session.run(
         &mut dist,
         u64::MAX,
-        &mut [&mut |d: &mut DistSim| observe_step(&d.sim), &mut push],
+        &mut [&mut |d: &mut DistSim| obs.observe(d)],
     );
     if let Err(e) = run {
-        eprintln!("mrpic_rank: rank {rank} lost the mesh: {e}");
-        if let Some(p) = dump_recorder("transport_loss") {
-            eprintln!("mrpic_rank: flight recorder -> {}", p.display());
-        }
-        std::process::exit(Exit::from(e).code());
+        std::process::exit(obs.abort(e).code());
     }
 
     if rank == 0 {
@@ -211,21 +192,10 @@ fn main() {
             dist.sim.state_digest(),
         );
     }
-    // One last sample so the supervisor's snapshot reflects the final
-    // step even when the run length is not a multiple of the interval.
-    if pusher.is_connected() {
-        pusher.push(&sampler.sample());
-    }
-    dist.sim.telemetry.sync();
-    if let Some(t) = dist.sim.telemetry.trips().first() {
-        eprintln!(
-            "mrpic_rank: rank {rank} INVARIANT GUARD TRIPPED at step {}: non-finite {} on {} \
-             (box {}, after {})",
-            t.step, t.component, t.grid, t.box_id, t.phase,
-        );
-        if let Some(p) = dump_recorder("guard_trip") {
-            eprintln!("mrpic_rank: flight recorder -> {}", p.display());
-        }
-        std::process::exit(Exit::GuardTrip.code());
+    // One last sample (so the supervisor's snapshot reflects the final
+    // step whatever the interval), a durable sink, the guard-trip report.
+    let exit = obs.finish(&mut dist.sim);
+    if exit != Exit::Clean {
+        std::process::exit(exit.code());
     }
 }

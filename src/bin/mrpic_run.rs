@@ -59,7 +59,7 @@
 //! this supervisor over a Unix socket in the mesh directory as low-rate
 //! `Metrics` frames. A bounded flight recorder always runs: on a guard
 //! trip, an unrecovered transport loss, a detected rank crash, a panic,
-//! or SIGUSR1, the last ~256 step/LB/fault events are dumped to
+//! or SIGUSR1, the last ~256 step records and fault events are dumped to
 //! `<outdir>/blackbox.json`. `--poison-step N` injects a NaN into Ex
 //! after step N (mem transport only) to exercise that path end to end.
 //!
@@ -92,10 +92,7 @@ use mrpic::core::config::RunConfig;
 use mrpic::core::diag::{electron_spectrum, write_field_slice, FieldPick, TimeSeries};
 use mrpic::core::run::{Exit, RunSession, Stepper};
 use mrpic::dist::{elastic_peak, parse_elastic_plan, DistSim, FaultPlan};
-use mrpic::obs::{
-    arm_sigusr1, dump_recorder, install_panic_dump, install_recorder, observe_step, FlightRecorder,
-    MetricsHub, RankSampler,
-};
+use mrpic::obs::{DriverObs, MetricsHub, Publish};
 use mrpic::serve::{fetch_status, submit_job, Budgets, ClientError, JobSpec};
 
 /// Parsed command line (see the module docs).
@@ -619,43 +616,18 @@ fn run_local<S: Stepper>(
     outdir: &Path,
 ) -> Exit {
     // Observability plane. The flight recorder is always armed: a
-    // bounded ring of recent step/LB/fault events, written to
+    // bounded ring of recent step records and fault events, written to
     // blackbox.json only on failure or SIGUSR1. The metrics hub (and
     // its per-rank samplers) only exists when a consumer asked for it.
-    install_recorder(FlightRecorder::new(0, outdir.join("blackbox.json"), 256));
-    install_panic_dump();
-    arm_sigusr1();
     let hub =
         (cli.metrics_addr.is_some() || cli.metrics_out.is_some()).then(|| MetricsHub::new("run"));
     if let (Some(hub), Some(addr)) = (&hub, &cli.metrics_addr) {
         serve_metrics(hub, addr, outdir);
     }
-    let mut samplers: Vec<RankSampler> = Vec::new();
+    let publish = hub.clone().map_or(Publish::Off, Publish::Hub);
+    let mut obs = DriverObs::arm(0, outdir, "", publish, cli.metrics_interval);
     let mut energy_ts = TimeSeries::new("total_energy_joules");
     let run = {
-        let mut sample = |s: &mut S| {
-            let (Some(hub), Some(rec)) = (&hub, s.sim().telemetry.records().back()) else {
-                return;
-            };
-            let nranks = s.nranks();
-            while samplers.len() < nranks {
-                let mut smp = RankSampler::new(samplers.len());
-                smp.include_registry = samplers.is_empty();
-                samplers.push(smp);
-            }
-            samplers.truncate(nranks);
-            // A shrink leaves departed ranks behind in the hub.
-            hub.retain_ranks(nranks);
-            for smp in &mut samplers {
-                smp.observe(rec);
-            }
-            if s.sim().istep.is_multiple_of(cli.metrics_interval) {
-                for smp in &mut samplers {
-                    smp.set_generation(s.resizes() as u64);
-                    hub.update_rank(smp.sample());
-                }
-            }
-        };
         let mut poison = |s: &mut S| {
             if cli.poison_step == Some(s.sim().istep) {
                 // Deterministic guard-trip harness: a NaN planted in Ex
@@ -695,8 +667,7 @@ fn run_local<S: Stepper>(
             s,
             u64::MAX,
             &mut [
-                &mut |s: &mut S| observe_step(s.sim()),
-                &mut sample,
+                &mut |s: &mut S| obs.observe(s),
                 &mut poison,
                 &mut trace,
                 &mut diag,
@@ -704,14 +675,7 @@ fn run_local<S: Stepper>(
         )
     };
     if let Err(e) = run {
-        eprintln!("run aborted: {e}");
-        let exit = e.into();
-        if exit == Exit::TransportLoss {
-            if let Some(p) = dump_recorder("transport_loss") {
-                eprintln!("flight recorder -> {}", p.display());
-            }
-        }
-        return exit;
+        return obs.abort(e);
     }
     let wall = session.wall_seconds;
     let sim = s.sim();
@@ -790,32 +754,12 @@ fn run_local<S: Stepper>(
         .summary(s, cli.ranks)
         .write(&outdir.join("summary.json"))
         .unwrap_or_else(|e| io_fail("summary.json", e));
-    // Final metrics snapshot: one last sample per rank, then the
-    // one-shot JSON file when requested.
-    if let Some(hub) = &hub {
-        for smp in &mut samplers {
-            hub.update_rank(smp.sample());
-        }
-        if let Some(path) = &cli.metrics_out {
-            write_metrics(hub, path);
-        }
-    }
-    let sim = s.sim_mut();
-    // Flush + fsync: the run is over, its telemetry must be durable.
-    sim.telemetry.sync();
-    if let Some(e) = sim.telemetry.write_error() {
-        eprintln!("warning: telemetry writes failed: {e}");
+    // One last sample per rank and a durable telemetry sink, then the
+    // one-shot metrics JSON file when requested.
+    let exit = obs.finish(s.sim_mut());
+    if let (Some(hub), Some(path)) = (&hub, &cli.metrics_out) {
+        write_metrics(hub, path);
     }
     println!("outputs in {}", outdir.display());
-    if let Some(t) = sim.telemetry.trips().first() {
-        eprintln!(
-            "INVARIANT GUARD TRIPPED at step {}: non-finite {} on {} (box {}, after {})",
-            t.step, t.component, t.grid, t.box_id, t.phase,
-        );
-        if let Some(p) = dump_recorder("guard_trip") {
-            eprintln!("flight recorder -> {}", p.display());
-        }
-        return Exit::GuardTrip;
-    }
-    Exit::Clean
+    exit
 }

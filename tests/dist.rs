@@ -73,8 +73,7 @@ fn rebalance_adoption_migrates_boxes_and_preserves_state() {
 /// the per-rank records surface in the step telemetry.
 #[test]
 fn recording_transport_captures_all_phases() {
-    let mut sim = build(3, false);
-    sim.telemetry.cfg.enabled = true;
+    let sim = build(3, false);
     let (mut d, rec) = DistSim::recording(sim, 2);
     d.run(6).unwrap();
     d.force_rebalance();
@@ -252,8 +251,7 @@ fn socket_message_schedule_matches_mem_golden_trace() {
     };
     assert!(!golden.is_empty(), "a 2-rank MR run must exchange messages");
     let dir = mesh_dir("sockgold");
-    let mut sim = build(11, true);
-    sim.telemetry.cfg.enabled = true;
+    let sim = build(11, true);
     let (mut d, rec) =
         DistSim::socket_mesh_recording(sim, MeshCfg::uds(dir.clone(), 2, 0xBEEF)).unwrap();
     d.run(STEPS).unwrap();

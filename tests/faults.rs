@@ -216,8 +216,7 @@ fn same_seed_and_plan_reproduce_everything() {
         }),
     };
     let run = || {
-        let mut sim = build_light(4);
-        sim.telemetry.cfg.enabled = true;
+        let sim = build_light(4);
         let mut d = DistSim::with_fault_injection(sim, 2, plan.clone());
         d.set_epoch_interval(5);
         d.run(STEPS).unwrap();

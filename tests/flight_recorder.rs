@@ -33,6 +33,8 @@ fn resizes_and_recoveries_reach_the_flight_recorder() {
     drop(d);
     assert_mesh_dir_clean(&sock);
     let doc = read(&dump_recorder("sigusr1").unwrap());
+    // The dump names the mesh generation: one resize so far.
+    assert_eq!(doc.generation, 1);
     assert_eq!(
         doc.events,
         vec![FlightEvent::Resize {

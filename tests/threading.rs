@@ -266,7 +266,8 @@ fn window_shift_reuses_cached_plans() {
     let mut sim = build(7, true);
     // Warm the caches through the first window shift.
     for _ in 0..400 {
-        if sim.step().window_shifts > 0 {
+        sim.step();
+        if sim.telemetry.last().unwrap().window_shifts > 0 {
             break;
         }
     }
@@ -280,7 +281,8 @@ fn window_shift_reuses_cached_plans() {
     // or not, rebuilds a plan.
     let mut shifts = 0;
     for _ in 0..400 {
-        shifts += sim.step().window_shifts;
+        sim.step();
+        shifts += sim.telemetry.last().unwrap().window_shifts;
         assert_eq!(
             sim.plan_builds_total(),
             warm,

@@ -151,6 +151,8 @@ set -e
 test "$POISON_CODE" = 3
 grep -q '"schema": "mrpic-blackbox-v1"' target/tier1_smoke_poison_out/blackbox.json
 grep -q '"reason": "guard_trip"' target/tier1_smoke_poison_out/blackbox.json
+# Blackbox step entries are the full step records (phases included).
+grep -q '"phases"' target/tier1_smoke_poison_out/blackbox.json
 POISON_BB=$(grep -o '"last_step": [0-9]*' target/tier1_smoke_poison_out/blackbox.json | grep -o '[0-9]*')
 POISON_FAIL=$(grep -o '"failure_step": [0-9]*' target/tier1_smoke_poison_out/summary.json | grep -o '[0-9]*')
 test -n "$POISON_BB" && test "$POISON_BB" = "$POISON_FAIL"
