@@ -125,32 +125,6 @@ impl IndexBox {
         })
     }
 
-    /// The boundary shell of thickness `n` just *outside* this box
-    /// (i.e. `grow(n) \ self`), returned as up to 6 disjoint boxes.
-    pub fn boundary_shell(&self, n: i64) -> Vec<IndexBox> {
-        assert!(n >= 0);
-        let g = self.grow(n);
-        let mut out = Vec::with_capacity(6);
-        // Slabs along z, then y (restricted), then x (restricted twice) so
-        // the pieces are disjoint while covering the whole shell.
-        let mut core = g;
-        for d in (0..3).rev() {
-            let mut lo_slab = core;
-            lo_slab.hi[d] = self.lo[d];
-            if !lo_slab.is_empty() {
-                out.push(lo_slab);
-            }
-            let mut hi_slab = core;
-            hi_slab.lo[d] = self.hi[d];
-            if !hi_slab.is_empty() {
-                out.push(hi_slab);
-            }
-            core.lo[d] = self.lo[d];
-            core.hi[d] = self.hi[d];
-        }
-        out
-    }
-
     /// Subtract `other` from `self`, returning disjoint boxes covering
     /// `self \ other`.
     pub fn subtract(&self, other: &IndexBox) -> Vec<IndexBox> {
@@ -219,20 +193,6 @@ mod tests {
         assert_eq!(bx.refine(r).coarsen(r), bx);
         // Coarsening covers partial coarse cells.
         assert_eq!(b([1, 1, 1], [3, 3, 3]).coarsen(r), b([0, 0, 0], [2, 2, 2]));
-    }
-
-    #[test]
-    fn shell_is_disjoint_and_covers() {
-        let bx = b([0, 0, 0], [3, 3, 3]);
-        let shell = bx.boundary_shell(2);
-        let total: i64 = shell.iter().map(|s| s.num_cells()).sum();
-        assert_eq!(total, bx.grow(2).num_cells() - bx.num_cells());
-        for (i, a) in shell.iter().enumerate() {
-            assert!(a.intersect(&bx).is_none());
-            for c in &shell[i + 1..] {
-                assert!(a.intersect(c).is_none(), "{a:?} overlaps {c:?}");
-            }
-        }
     }
 
     #[test]

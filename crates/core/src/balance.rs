@@ -197,11 +197,6 @@ pub struct LbDecision {
     pub adopted: Option<String>,
     /// Bytes actually migrated (0 when not adopted).
     pub bytes_migrated: u64,
-    /// The measured imbalance one step *after* the decision — filled in
-    /// before the record is emitted, so predicted vs realized gain is
-    /// visible in a single record. `None` only if the run ended first.
-    #[serde(default)]
-    pub realized_imbalance: Option<f64>,
 }
 
 /// Per-rank communication time of `pair_bytes` = `(src, dst, bytes)`
@@ -293,9 +288,6 @@ pub struct LbPolicy {
     hot_streak: u64,
     /// Steps left before the trigger re-arms after an evaluation.
     cooldown_left: u64,
-    /// Decision awaiting its realized-imbalance fill-in (emitted with
-    /// the *next* step's record).
-    pending: Option<LbDecision>,
 }
 
 impl LbPolicy {
@@ -304,7 +296,6 @@ impl LbPolicy {
             cfg,
             hot_streak: 0,
             cooldown_left: 0,
-            pending: None,
         }
     }
 
@@ -320,14 +311,6 @@ impl LbPolicy {
         self.cfg.nranks = nranks;
         self.hot_streak = 0;
         self.cooldown_left = 0;
-    }
-
-    /// Complete the previous step's pending decision with this step's
-    /// measured imbalance and hand it over for emission.
-    pub fn finish_pending(&mut self, measured: Option<f64>) -> Option<LbDecision> {
-        let mut d = self.pending.take()?;
-        d.realized_imbalance = measured;
-        Some(d)
     }
 
     /// Feed one step's measured imbalance into the trigger. Returns
@@ -351,9 +334,8 @@ impl LbPolicy {
     /// is the halo width used to price each candidate's steady-state
     /// exchange surface (a scattered mapping pays for its halo traffic
     /// every step, not just the one-time migration). Returns the
-    /// mapping to adopt (if any); the full [`LbDecision`] is held as
-    /// pending until [`LbPolicy::finish_pending`] releases it with the
-    /// realized imbalance.
+    /// [`LbDecision`] for this step's record and the mapping to adopt,
+    /// if any; the realized imbalance is the next record's `imbalance`.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate(
         &mut self,
@@ -364,7 +346,7 @@ impl LbPolicy {
         costs: &[f64],
         per_box_bytes: &[u64],
         guard_cells: i64,
-    ) -> Option<DistributionMapping> {
+    ) -> (LbDecision, Option<DistributionMapping>) {
         let cfg = self.cfg;
         let old_loads = current.rank_loads(costs);
         let old_max = old_loads.iter().cloned().fold(0.0, f64::max);
@@ -422,17 +404,16 @@ impl LbPolicy {
             Some((_, mapping, name, bytes)) => (Some(name), bytes, Some(mapping)),
             None => (None, 0, None),
         };
-        self.pending = Some(LbDecision {
+        self.hot_streak = 0;
+        self.cooldown_left = cfg.cooldown.max(1);
+        let decision = LbDecision {
             step,
             trigger_imbalance,
             candidates,
             adopted,
             bytes_migrated,
-            realized_imbalance: None,
-        });
-        self.hot_streak = 0;
-        self.cooldown_left = cfg.cooldown.max(1);
-        mapping
+        };
+        (decision, mapping)
     }
 }
 
@@ -608,13 +589,12 @@ mod tests {
         });
         let trigger = dm.imbalance(&costs);
         assert!(trigger > 1.15);
-        let adopted = p.evaluate(7, trigger, &ba, &dm, &costs, &vec![1 << 20; ba.len()], 2);
+        let (d, adopted) = p.evaluate(7, trigger, &ba, &dm, &costs, &vec![1 << 20; ba.len()], 2);
         let mapping = adopted.expect("a 100x hotspot must clear the bar");
         assert!(mapping.imbalance(&costs) < trigger);
-        let d = p.finish_pending(Some(1.05)).expect("pending decision");
         assert_eq!(d.step, 7);
+        assert_eq!(d.trigger_imbalance, trigger);
         assert_eq!(d.candidates.len(), 2);
-        assert_eq!(d.realized_imbalance, Some(1.05));
         let name = d.adopted.as_deref().expect("adopted");
         let winner = d.candidates.iter().find(|c| c.strategy == name).unwrap();
         assert!(winner.predicted_net_gain > 0.0);
@@ -624,8 +604,6 @@ mod tests {
         for c in &d.candidates {
             assert!(c.predicted_net_gain <= winner.predicted_net_gain);
         }
-        // Nothing pending after the hand-off.
-        assert!(p.finish_pending(None).is_none());
     }
 
     #[test]
@@ -645,9 +623,9 @@ mod tests {
             ..LbPolicyCfg::default()
         });
         let trigger = dm.imbalance(&costs);
-        let adopted = p.evaluate(3, trigger, &ba, &dm, &costs, &vec![1 << 24; ba.len()], 2);
+        let (d, adopted) = p.evaluate(3, trigger, &ba, &dm, &costs, &vec![1 << 24; ba.len()], 2);
         assert!(adopted.is_none());
-        let d = p.finish_pending(Some(trigger)).unwrap();
+        assert_eq!(d.step, 3);
         assert_eq!(d.adopted, None);
         assert_eq!(d.bytes_migrated, 0);
         assert!(d.candidates.iter().all(|c| c.predicted_net_gain < 0.0));

@@ -117,6 +117,12 @@ pub trait StepComm {
         Vec::new()
     }
 
+    /// True once a rank loss has drained this step: the step will be
+    /// rolled back and replayed, so its record is not written.
+    fn drained(&self) -> bool {
+        false
+    }
+
     /// Drain the fault-injection / recovery counters accumulated since
     /// the last call. `None` means no fault layer is attached at all;
     /// `Some` (possibly all-zero) means a chaos transport is active and

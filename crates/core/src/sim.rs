@@ -158,14 +158,6 @@ pub fn box_imbalance(costs: &[f64]) -> Option<f64> {
     (mean > 0.0).then(|| max / mean)
 }
 
-/// Cached handle for the per-box kernel-time histogram (nanoseconds per
-/// box per species per step), fed while tracing is enabled.
-fn box_kernel_hist() -> &'static mrpic_trace::metrics::Histogram {
-    static H: std::sync::OnceLock<&'static mrpic_trace::metrics::Histogram> =
-        std::sync::OnceLock::new();
-    H.get_or_init(|| mrpic_trace::histogram("core.box_ns"))
-}
-
 /// Particles per chunk of the fused advance: gather, push and deposit of
 /// one chunk run back to back while its operands are still in L2. A
 /// multiple of the lane width, so only a segment's last chunk has a
@@ -952,7 +944,6 @@ impl SimulationBuilder {
             box_seconds: Vec::new(),
             box_laps: Vec::new(),
             fine_j_pool: Vec::new(),
-            metrics_mark: Vec::new(),
             telemetry: Telemetry::default(),
         }
     }
@@ -992,9 +983,6 @@ pub struct Simulation {
     box_laps: Vec<[f64; 3]>,
     /// Per-box fine-patch deposition buffers (reused).
     fine_j_pool: Vec<FineJBuf>,
-    /// Metrics-registry snapshot at the end of the previous step, so a
-    /// traced step can report per-step histogram deltas in telemetry.
-    metrics_mark: Vec<mrpic_trace::metrics::HistSnapshot>,
     /// Step records, physics probes, and NaN/Inf guards.
     pub telemetry: Telemetry,
 }
@@ -1298,13 +1286,10 @@ impl Simulation {
                     imbalance.unwrap_or_else(|| self.dm.imbalance(self.cost.costs()))
                 }
             };
-            // Last step's evaluation gets its realized metric and goes
-            // out with this step's record.
-            lb_decision = policy.finish_pending(Some(trigger_metric));
             if policy.observe(trigger_metric) {
                 let _dspan = mrpic_trace::span!("lb_decision", -1, step_idx);
                 let per_box_bytes = self.migration_bytes_per_box();
-                let adopt = policy.evaluate(
+                let (decision, adopt) = policy.evaluate(
                     step_idx,
                     trigger_metric,
                     self.fs.boxarray(),
@@ -1322,21 +1307,13 @@ impl Simulation {
                     self.fs.invalidate_plans();
                     self.dm = mapping;
                 }
+                lb_decision = Some(decision);
             }
             self.lb = Some(policy);
         }
 
         clock.enter(Phase::Other);
         let comm_delta = self.comm_stats_total().delta_since(&comm0);
-        // Per-step deltas of the trace metrics registry (message bytes,
-        // recv-wait, per-box kernel times, ...), only while tracing.
-        let trace_hists = if mrpic_trace::enabled() {
-            let (summaries, mark) = mrpic_trace::metrics::summaries_since(&self.metrics_mark);
-            self.metrics_mark = mark;
-            summaries
-        } else {
-            Vec::new()
-        };
 
         let probes = self.telemetry.probes_due(step_idx).then(|| Probes {
             field_energy: mrpic_field::energy::field_energy(&self.fs),
@@ -1355,7 +1332,7 @@ impl Simulation {
             [a[0] + l[GATHER], a[1] + l[PUSH], a[2] + l[DEPOSIT]]
         });
         let (phases, seconds) = clock.finish(laps, comm_delta.seconds);
-        self.telemetry.record(StepRecord {
+        let rec = StepRecord {
             step: step_idx,
             time: self.time,
             dt,
@@ -1374,9 +1351,13 @@ impl Simulation {
             faults: fault_stats,
             imbalance,
             lb: lb_decision,
-            trace_hists,
             precision: self.precision,
-        });
+        };
+        if comm.drained() {
+            self.telemetry.discard(rec);
+        } else {
+            self.telemetry.record(rec);
+        }
     }
 
     /// Order-fixed FNV-1a digest of the complete physics state: step
@@ -1710,9 +1691,6 @@ impl Simulation {
                     );
                     target.finish();
                     run.laps.lap(DEPOSIT);
-                }
-                if mrpic_trace::enabled() {
-                    box_kernel_hist().record(run.laps.mark.duration_since(t0).as_nanos() as u64);
                 }
             },
         );

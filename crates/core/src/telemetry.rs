@@ -265,15 +265,11 @@ pub struct StepRecord {
     pub imbalance: Option<f64>,
     /// The load-balance policy evaluation emitted with this step, if
     /// one completed: trigger imbalance, every candidate considered
-    /// with predicted costs/savings, what (if anything) was adopted,
-    /// and the realized imbalance one step after the decision.
+    /// with predicted costs/savings, and what (if anything) was
+    /// adopted. The realized imbalance is the next record's
+    /// `imbalance`.
     #[serde(default)]
     pub lb: Option<crate::balance::LbDecision>,
-    /// Per-step histogram summaries (message bytes, recv-wait, per-box
-    /// kernel times, ...) from the mrpic-trace metrics registry; only
-    /// populated while tracing is enabled.
-    #[serde(default)]
-    pub trace_hists: Vec<mrpic_trace::HistSummary>,
     /// Particle-kernel precision mode the step ran under.
     #[serde(default)]
     pub precision: crate::sim::Precision,
@@ -291,6 +287,12 @@ pub struct Telemetry {
     sink_bytes: u64,
     trips: Vec<GuardTrip>,
     write_error: Option<String>,
+    /// One past the last recorded step: a replayed step below it is not
+    /// recorded again.
+    next_step: u64,
+    /// Fault counters of steps that ran but were not recorded, folded
+    /// into the next recorded step.
+    carry: Option<FaultStats>,
 }
 
 impl Telemetry {
@@ -303,6 +305,8 @@ impl Telemetry {
             sink_bytes: 0,
             trips: Vec::new(),
             write_error: None,
+            next_step: 0,
+            carry: None,
         }
     }
 
@@ -351,12 +355,30 @@ impl Telemetry {
         self.cfg.sentinel_interval != 0 && istep.is_multiple_of(self.cfg.sentinel_interval)
     }
 
-    /// Append a record to the ring (and the JSONL sink when attached).
+    /// Keep only the fault counters of a step whose record is not
+    /// written — one drained by a rank loss, which is rolled back and
+    /// replayed. They fold into the next recorded step.
+    pub fn discard(&mut self, rec: StepRecord) {
+        if let Some(f) = &rec.faults {
+            self.carry.get_or_insert_with(FaultStats::default).merge(f);
+        }
+    }
+
+    /// Append a record to the ring (and the JSONL sink when attached),
+    /// so each step is recorded once: a replay of a step recorded
+    /// before a rollback is [`discard`](Self::discard)ed instead.
     /// A record carrying a guard trip flushes the sink immediately: the
     /// driver typically aborts right after a trip, and the tripping
     /// record is exactly the line a post-mortem must not lose to
     /// writer buffering.
-    pub fn record(&mut self, rec: StepRecord) {
+    pub fn record(&mut self, mut rec: StepRecord) {
+        if rec.step < self.next_step {
+            return self.discard(rec);
+        }
+        self.next_step = rec.step + 1;
+        if let Some(c) = self.carry.take() {
+            rec.faults.get_or_insert_with(FaultStats::default).merge(&c);
+        }
         let tripping = rec.guard.is_some();
         if let Some(trip) = &rec.guard {
             self.trips.push(trip.clone());
@@ -590,7 +612,6 @@ mod tests {
                 faults: None,
                 imbalance: None,
                 lb: None,
-                trace_hists: Vec::new(),
                 rank_count: None,
                 precision: crate::sim::Precision::F64,
             });
@@ -669,17 +690,7 @@ mod tests {
                 }],
                 adopted: Some("knapsack".into()),
                 bytes_migrated: 1 << 20,
-                realized_imbalance: Some(1.1),
             }),
-            trace_hists: vec![mrpic_trace::HistSummary {
-                name: "dist.msg_bytes".into(),
-                count: 12,
-                sum: 49152,
-                mean: 4096.0,
-                p50: 4095,
-                p99: 8191,
-                max: 8191,
-            }],
             rank_count: Some(2),
             precision: crate::sim::Precision::F32Particles,
         };
@@ -696,7 +707,6 @@ mod tests {
         assert_eq!(back.faults, rec.faults);
         assert_eq!(back.imbalance, Some(1.25));
         assert_eq!(back.lb, rec.lb);
-        assert_eq!(back.trace_hists, rec.trace_hists);
         assert_eq!(back.precision, rec.precision);
     }
 
@@ -720,7 +730,6 @@ mod tests {
             faults: None,
             imbalance: None,
             lb: None,
-            trace_hists: Vec::new(),
             rank_count: None,
             precision: crate::sim::Precision::F64,
         }

@@ -89,27 +89,6 @@ fn backoff(attempt: u32) {
     std::thread::sleep(std::time::Duration::from_micros(40u64 << attempt.min(8)));
 }
 
-/// Cached mrpic-trace metric handles; the steady-state cost per record
-/// is one relaxed atomic add (and nothing at all when tracing is off —
-/// every site gates on `mrpic_trace::enabled()`).
-fn msg_bytes_hist() -> &'static mrpic_trace::metrics::Histogram {
-    static H: std::sync::OnceLock<&'static mrpic_trace::metrics::Histogram> =
-        std::sync::OnceLock::new();
-    H.get_or_init(|| mrpic_trace::histogram("dist.msg_bytes"))
-}
-
-fn recv_wait_hist() -> &'static mrpic_trace::metrics::Histogram {
-    static H: std::sync::OnceLock<&'static mrpic_trace::metrics::Histogram> =
-        std::sync::OnceLock::new();
-    H.get_or_init(|| mrpic_trace::histogram("dist.recv_wait_ns"))
-}
-
-fn retries_counter() -> &'static mrpic_trace::metrics::Counter {
-    static C: std::sync::OnceLock<&'static mrpic_trace::metrics::Counter> =
-        std::sync::OnceLock::new();
-    C.get_or_init(|| mrpic_trace::counter("dist.retries"))
-}
-
 /// Seal and send one frame, retrying transient failures with bounded
 /// backoff. Byte/message accounting covers the sealed frame once.
 fn send_framed(
@@ -122,9 +101,6 @@ fn send_framed(
 ) -> Result<(), TransportError> {
     seal(&mut frame);
     let _send_span = mrpic_trace::span!("send", ep.rank(), dst, frame.len());
-    if mrpic_trace::enabled() {
-        msg_bytes_hist().record(frame.len() as u64);
-    }
     rec.sent_bytes += frame.len() as u64;
     rec.sent_messages += 1;
     let mut attempt = 0;
@@ -134,9 +110,6 @@ fn send_framed(
             Err(e) if e.is_transient() && attempt + 1 < MAX_ATTEMPTS => {
                 attempt += 1;
                 faults.retries += 1;
-                if mrpic_trace::enabled() {
-                    retries_counter().incr();
-                }
                 backoff(attempt);
             }
             Err(e) => return Err(e),
@@ -159,18 +132,14 @@ fn recv_framed(
     let mut attempt = 0;
     loop {
         // The blocked time inside `ep.recv` is the quantity the load
-        // balancer wants priced: spanned separately from the unseal work
-        // and recorded into the recv-wait histogram.
+        // balancer wants priced: spanned separately from the unseal work.
         let wait_span = mrpic_trace::span!("recv_wait", ep.rank(), src);
         let t_wait = std::time::Instant::now();
         let got = ep.recv(src, tag);
         drop(wait_span);
-        // Always charged to the rank record (the imbalance metric
-        // subtracts it from busy time); the histogram is trace-only.
+        // Charged to the rank record: the imbalance metric subtracts it
+        // from busy time.
         rec.recv_wait_seconds += t_wait.elapsed().as_secs_f64();
-        if mrpic_trace::enabled() {
-            recv_wait_hist().record(t_wait.elapsed().as_nanos() as u64);
-        }
         match got {
             Ok(mut frame) => {
                 let sealed_len = frame.len() as u64;
@@ -191,16 +160,10 @@ fn recv_framed(
                 }
                 attempt += 1;
                 faults.retries += 1;
-                if mrpic_trace::enabled() {
-                    retries_counter().incr();
-                }
             }
             Err(e) if e.is_transient() && attempt + 1 < MAX_ATTEMPTS => {
                 attempt += 1;
                 faults.retries += 1;
-                if mrpic_trace::enabled() {
-                    retries_counter().incr();
-                }
                 backoff(attempt);
             }
             Err(e) => return Err(e),
@@ -697,6 +660,10 @@ impl StepComm for DistComm {
             self.records[i].wire_flushes += flushes;
         }
         std::mem::replace(&mut self.records, fresh_records(n))
+    }
+
+    fn drained(&self) -> bool {
+        self.loss.is_some()
     }
 
     fn take_fault_stats(&mut self) -> Option<FaultStats> {

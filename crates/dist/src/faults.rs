@@ -155,18 +155,6 @@ impl FaultPlan {
     }
 }
 
-/// Bump one of the cached mrpic-trace injection counters; a no-op
-/// (single relaxed load) while tracing is disabled.
-macro_rules! count_injection {
-    ($cell:ident, $name:literal) => {{
-        if mrpic_trace::enabled() {
-            static $cell: std::sync::OnceLock<&'static mrpic_trace::metrics::Counter> =
-                std::sync::OnceLock::new();
-            $cell.get_or_init(|| mrpic_trace::counter($name)).incr();
-        }
-    }};
-}
-
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -366,7 +354,6 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         let h = self.draw();
         if h % 1000 < self.injector.plan.transient_per_mille as u64 {
             self.injector.bump(|s| s.transients_injected += 1);
-            count_injection!(SEND_TRANSIENTS, "fault.transients_injected");
             return Err(self.err(TransportErrorKind::Transient, dst, tag));
         }
         self.inner.send(dst, tag, payload)
@@ -385,12 +372,10 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         let h = self.draw();
         if h % 1000 < plan.transient_per_mille as u64 {
             self.injector.bump(|s| s.transients_injected += 1);
-            count_injection!(RECV_TRANSIENTS, "fault.transients_injected");
             return Err(self.err(TransportErrorKind::Transient, src, tag));
         }
         if (h >> 10) % 1000 < plan.delay_per_mille as u64 {
             self.injector.bump(|s| s.delays_injected += 1);
-            count_injection!(DELAYS, "fault.delays_injected");
             let _delay_span =
                 mrpic_trace::span!("fault_delay", self.inner.rank(), src, plan.delay_us);
             std::thread::sleep(Duration::from_micros(plan.delay_us));
@@ -407,7 +392,6 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         };
         if !payload.is_empty() && (h >> 20) % 1000 < plan.corrupt_per_mille as u64 {
             self.injector.bump(|s| s.corruptions_injected += 1);
-            count_injection!(CORRUPTIONS, "fault.corruptions_injected");
             let mut corrupted = payload.clone();
             let pos = (h >> 30) as usize % corrupted.len();
             corrupted[pos] ^= 0x5A;

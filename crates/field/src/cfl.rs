@@ -16,12 +16,6 @@ pub fn dt_at(dim: Dim, dx: &[f64; 3], cfl: f64) -> f64 {
     cfl * max_dt(dim, dx)
 }
 
-/// The distance light travels in one step, in units of `dx[0]` — used by
-/// the moving window to know when to shift by one cell.
-pub fn light_cells_per_step(dt: f64, dx0: f64) -> f64 {
-    C * dt / dx0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,7 +42,7 @@ mod tests {
     fn light_travel() {
         let dx = [1.0e-6; 3];
         let dt = dt_at(Dim::Two, &dx, 0.7);
-        let cells = light_cells_per_step(dt, dx[0]);
+        let cells = C * dt / dx[0];
         assert!((cells - 0.7 / 2.0f64.sqrt()).abs() < 1e-12);
         assert!(cells < 1.0);
     }

@@ -17,18 +17,6 @@ pub fn field_energy(fs: &FieldSet) -> f64 {
     dv * (0.5 * EPS0 * e2 + 0.5 / MU0 * b2)
 }
 
-/// Energy split per component (diagnostics output).
-pub fn energy_breakdown(fs: &FieldSet) -> ([f64; 3], [f64; 3]) {
-    let dv = fs.geom.dx[0] * fs.geom.dx[1] * fs.geom.dx[2];
-    let mut e = [0.0; 3];
-    let mut b = [0.0; 3];
-    for c in 0..3 {
-        e[c] = 0.5 * EPS0 * dv * fs.e[c].sum_comp_map(0, |v| v * v);
-        b[c] = 0.5 / MU0 * dv * fs.b[c].sum_comp_map(0, |v| v * v);
-    }
-    (e, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,9 +42,5 @@ mod tests {
         let pts = (8 * 9 * 9) as f64;
         let want = 0.5 * EPS0 * e0 * e0 * 1.0e-18 * pts;
         assert!((u - want).abs() < 1e-9 * want, "{u} vs {want}");
-        let (e, b) = energy_breakdown(&fs);
-        assert!((e[0] - want).abs() < 1e-9 * want);
-        assert_eq!(e[1], 0.0);
-        assert_eq!(b, [0.0; 3]);
     }
 }

@@ -21,7 +21,6 @@ pub mod energy;
 pub mod fieldset;
 pub mod filter;
 pub mod pml;
-pub mod poynting;
 pub mod yee;
 
 pub use fieldset::{Dim, FieldSet, GridGeom};

@@ -86,9 +86,7 @@ impl DriverObs {
     }
 
     fn publish_samples(&mut self) {
-        for (i, smp) in self.samplers.iter_mut().enumerate() {
-            // The registry is process-wide: one sampler carries it.
-            smp.include_registry = i == 0;
+        for smp in self.samplers.iter_mut() {
             let m = smp.sample();
             match &mut self.publish {
                 Publish::Off => {}

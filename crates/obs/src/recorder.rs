@@ -270,7 +270,6 @@ mod tests {
             faults: None,
             imbalance: None,
             lb: None,
-            trace_hists: Vec::new(),
             precision: Default::default(),
         }
     }

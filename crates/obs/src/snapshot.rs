@@ -85,10 +85,6 @@ pub struct RankMetrics {
     /// Completed crash recoveries this rank participated in.
     #[serde(default)]
     pub recoveries: u64,
-    /// Cumulative `mrpic_trace` registry counters `(name, value)`;
-    /// per-process, so only meaningful per-rank for worker processes.
-    #[serde(default)]
-    pub counters: Vec<(String, u64)>,
 }
 
 /// `mrpic_serve` fleet state: queue/slot occupancy plus per-job and
@@ -143,14 +139,6 @@ pub struct FleetSnapshot {
     pub ranks: Vec<RankMetrics>,
     #[serde(default)]
     pub serve: Option<ServeMetrics>,
-}
-
-/// Sanitize an arbitrary counter name into a Prometheus metric-name
-/// fragment (`dist.msg_bytes` → `dist_msg_bytes`).
-fn metric_fragment(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 impl FleetSnapshot {
@@ -217,13 +205,6 @@ impl FleetSnapshot {
                 r.fault_retries as f64,
             ));
             out.push(gauge("mrpic_recoveries_total", rk, r.recoveries as f64));
-            for (name, v) in &r.counters {
-                out.push(gauge(
-                    &format!("mrpic_trace_{}_total", metric_fragment(name)),
-                    rk,
-                    *v as f64,
-                ));
-            }
         }
         if let Some(s) = &self.serve {
             let plain = |name: &str, v: f64| Sample {
@@ -282,9 +263,6 @@ impl FleetSnapshot {
 /// `CommStats` so single-rank runs still report.
 pub struct RankSampler {
     rank: usize,
-    /// Pull process-global `mrpic_trace` registry counters into each
-    /// sample. Only set this for one sampler per process.
-    pub include_registry: bool,
     cum: RankMetrics,
     imb_sum: f64,
     imb_steps: u64,
@@ -299,7 +277,6 @@ impl RankSampler {
     pub fn new(rank: usize) -> Self {
         Self {
             rank,
-            include_registry: false,
             cum: RankMetrics {
                 rank,
                 ..RankMetrics::default()
@@ -375,9 +352,6 @@ impl RankSampler {
         if self.window_busy > 0.0 {
             m.recv_wait_frac = (self.window_wait / self.window_busy).clamp(0.0, 1.0);
         }
-        if self.include_registry {
-            m.counters = mrpic_trace::metrics::counters_snapshot();
-        }
         self.window_t0 = Some(now);
         self.window_steps = 0;
         self.window_wire0 = m.wire_bytes;
@@ -421,7 +395,6 @@ mod tests {
             faults: None,
             imbalance: Some(1.5),
             lb: None,
-            trace_hists: Vec::new(),
             precision: Default::default(),
         }
     }
@@ -515,7 +488,7 @@ mod tests {
                 step: 9,
                 wire_bytes: 1234,
                 imbalance: Some(1.25),
-                counters: vec![("dist.retries".into(), 3)],
+                fault_retries: 3,
                 ..RankMetrics::default()
             }],
             serve: None,
@@ -524,7 +497,7 @@ mod tests {
         let find = |n: &str| samples.iter().find(|s| s.name == n).expect(n);
         assert_eq!(find("mrpic_wire_bytes_total").value, 1234.0);
         assert_eq!(find("mrpic_step_imbalance").value, 1.25);
-        assert_eq!(find("mrpic_trace_dist_retries_total").value, 3.0);
+        assert_eq!(find("mrpic_fault_retries_total").value, 3.0);
         assert_eq!(
             find("mrpic_wire_bytes_total").labels,
             vec![("rank".to_string(), "0".to_string())]

@@ -1,6 +1,6 @@
-//! Trace analyses: aggregate span tables, the paper's rank-imbalance
-//! metric, per-pair communication matrix, and a critical-path summary
-//! from matched send/recv spans.
+//! Trace analyses: aggregate span tables, per-span value distributions,
+//! the paper's rank-imbalance metric, per-pair communication matrix, and
+//! a critical-path summary from matched send/recv spans.
 
 use std::collections::BTreeMap;
 
@@ -64,6 +64,40 @@ pub fn top_spans(trace: &Trace, n: usize) -> Vec<SpanAgg> {
     v.sort_by(|a, b| b.total_s.total_cmp(&a.total_s));
     v.truncate(n);
     v
+}
+
+/// Exact distribution of one per-span quantity (nearest-rank quantiles).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Distribution {
+    pub count: usize,
+    pub p50: u64,
+    pub p99: u64,
+    pub max: u64,
+}
+
+/// Distribution of `value` over every span named `name` — e.g. `send`
+/// bytes (`arg1`) or `recv_wait` / `box` durations (`dur_ns`). `None`
+/// when no span has that name.
+pub fn distribution(
+    trace: &Trace,
+    name: &str,
+    value: impl Fn(&SpanRec) -> u64,
+) -> Option<Distribution> {
+    let mut v: Vec<u64> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == name)
+        .map(value)
+        .collect();
+    v.sort_unstable();
+    let max = *v.last()?;
+    let rank = |q: f64| v[(q * v.len() as f64).ceil() as usize - 1];
+    Some(Distribution {
+        count: v.len(),
+        p50: rank(0.5),
+        p99: rank(0.99),
+        max,
+    })
 }
 
 /// Busy seconds per rank: total duration of top-level (depth 0) spans
@@ -317,6 +351,26 @@ mod tests {
         assert_eq!(m[0][1], 150);
         assert_eq!(m[1][0], 7);
         assert_eq!(m[0][0], 0);
+    }
+
+    #[test]
+    fn distribution_uses_nearest_rank_quantiles() {
+        let mut spans: Vec<SpanRec> = (1..=200)
+            .map(|b| mk("send", 0, 1, 0, 10, 0, 1, b))
+            .collect();
+        spans.push(mk("recv", 0, 1, 0, 10, 0, 1, -1));
+        let t = Trace { spans, dropped: 0 };
+        let d = distribution(&t, "send", |s| s.arg1 as u64).unwrap();
+        assert_eq!(
+            d,
+            Distribution {
+                count: 200,
+                p50: 100,
+                p99: 198,
+                max: 200,
+            }
+        );
+        assert!(distribution(&t, "box", |s| s.arg1 as u64).is_none());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! macro) append begin/end events to a per-thread lock-free ring with
 //! monotonic timestamps; a global collector drains the rings into a
 //! [`Trace`] of nested spans that the exporters ([`chrome`]) and
-//! analyses ([`analysis`]) consume. A [`metrics`] registry of counters
-//! and log2-bucket histograms rides along for scalar telemetry (message
-//! bytes, retry counts, recv-wait, per-box kernel times).
+//! analyses ([`analysis`]) consume. Distributions — message bytes,
+//! recv-wait and per-box kernel times — are derived from the spans
+//! themselves ([`analysis::distribution`]); the scalar per-step counts
+//! live in the step telemetry.
 //!
 //! # Overhead budget
 //!
@@ -41,9 +42,6 @@ use std::time::Instant;
 
 pub mod analysis;
 pub mod chrome;
-pub mod metrics;
-
-pub use metrics::{counter, histogram, registry_snapshot, HistSummary, RegistrySnapshot};
 
 /// Events per thread ring. At phase/box/message granularity a rank
 /// produces a few hundred events per step, so this holds tens of steps

@@ -16,6 +16,8 @@
 //! * per-rank busy and recv-wait seconds;
 //! * the per-pair communication matrix (payload bytes, from matched
 //!   `send` spans);
+//! * count / p50 / p99 / max of `send` bytes and of `recv_wait` and
+//!   `box` durations, exact over every span;
 //! * a critical-path summary through the send/recv dependency DAG.
 //!
 //! **Compare mode** diffs two reports and exits 4 when any tracked
@@ -34,7 +36,7 @@
 
 use mrpic::trace::analysis;
 use mrpic::trace::chrome;
-use mrpic::trace::Trace;
+use mrpic::trace::{SpanRec, Trace};
 use serde_json::Value;
 use std::io::Write;
 
@@ -125,6 +127,34 @@ fn report(out: &mut impl Write, path: &str, top_n: usize) -> std::io::Result<()>
                     write!(out, " {:>10}", human_bytes(b))?;
                 }
                 writeln!(out)?;
+            }
+        }
+    }
+    let dur_ns = |s: &SpanRec| s.end_ns.saturating_sub(s.begin_ns);
+    let dists = [
+        (
+            "send bytes",
+            analysis::distribution(&trace, "send", |s| s.arg1.max(0) as u64),
+        ),
+        (
+            "recv_wait ns",
+            analysis::distribution(&trace, "recv_wait", dur_ns),
+        ),
+        ("box ns", analysis::distribution(&trace, "box", dur_ns)),
+    ];
+    if dists.iter().any(|(_, d)| d.is_some()) {
+        writeln!(
+            out,
+            "\ndistributions:\n  {:<14} {:>8} {:>12} {:>12} {:>12}",
+            "quantity", "count", "p50", "p99", "max"
+        )?;
+        for (label, d) in dists {
+            if let Some(d) = d {
+                writeln!(
+                    out,
+                    "  {label:<14} {:>8} {:>12} {:>12} {:>12}",
+                    d.count, d.p50, d.p99, d.max
+                )?;
             }
         }
     }

@@ -46,8 +46,7 @@
 //! run and writes a Chrome-trace JSON (open in Perfetto / `chrome://
 //! tracing`; one process track per rank, one thread track per worker).
 //! The same file feeds `mrpic_prof` for top-span, rank-imbalance,
-//! comm-matrix, and critical-path reports. Tracing also lights up the
-//! per-step histogram summaries in `telemetry.jsonl`.
+//! comm-matrix, span-distribution, and critical-path reports.
 //!
 //! Observability: `--metrics-addr HOST:PORT` serves a live Prometheus
 //! text exposition (`GET /metrics`) and JSON fleet snapshot

@@ -193,6 +193,29 @@ fn crash_recovery_matches_unfaulted_run() {
         assert_eq!(ev.replayed, crash_step + 1 - ev.epoch_step);
         assert_eq!(d.nranks(), nranks - 1);
         assert_sims_bitwise(&serial, &d.sim);
+        // Each step is recorded once: neither the drained step nor the
+        // replay of an already-recorded step adds a record, and the
+        // unrecorded steps' fault counters land in a recorded one.
+        let recs = d.sim.telemetry.records();
+        let steps: Vec<u64> = recs.iter().map(|r| r.step).collect();
+        assert_eq!(
+            steps,
+            (0..STEPS as u64).collect::<Vec<_>>(),
+            "seed {fault_seed}"
+        );
+        let total = |f: fn(&FaultStats) -> u64| {
+            recs.iter()
+                .filter_map(|r| r.faults.as_ref())
+                .map(f)
+                .sum::<u64>()
+        };
+        assert_eq!(total(|f| f.recoveries), 1, "seed {fault_seed}");
+        assert_eq!(total(|f| f.crashes), 1, "seed {fault_seed}");
+        assert_eq!(
+            total(|f| f.replayed_steps),
+            ev.replayed,
+            "seed {fault_seed}"
+        );
     }
 }
 

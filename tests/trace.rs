@@ -4,8 +4,8 @@
 //! assignment, and every telemetry record type round-trips through
 //! serde.
 //!
-//! Tracing state (the enable flag, the per-thread rings, the metrics
-//! registry) is process-global, so every test touching it serializes on
+//! Tracing state (the enable flag, the per-thread rings) is
+//! process-global, so every test touching it serializes on
 //! one mutex — cargo's default parallel test threads would otherwise
 //! interleave spans from concurrent tests into one trace.
 
@@ -269,36 +269,38 @@ fn skewed_two_rank_imbalance_subtracts_recv_wait() {
 #[test]
 fn step_records_from_a_traced_run_round_trip_through_serde() {
     let _g = lock();
-    // A real traced distributed step populates ranks / imbalance /
-    // trace_hists; the JSONL line must reconstruct all of them.
+    // A real traced distributed step populates ranks / imbalance; the
+    // JSONL line must reconstruct all of them.
     mrpic::trace::disable();
     let _ = mrpic::trace::take_trace();
-    mrpic::trace::enable();
     let mut d = DistSim::in_process(build(5), 2);
+    mrpic::trace::enable();
     d.step().unwrap();
     mrpic::trace::disable();
-    let _ = mrpic::trace::take_trace();
+    let trace = mrpic::trace::take_trace();
     let rec = d.sim.telemetry.records().back().expect("one step recorded");
     assert_eq!(rec.ranks.len(), 2);
     assert!(rec.imbalance.is_some(), "2-rank step must report imbalance");
-    assert!(
-        rec.trace_hists.iter().any(|h| h.name == "dist.msg_bytes"),
-        "traced step must summarize the message-bytes histogram: {:?}",
-        rec.trace_hists,
-    );
+    // The message-bytes distribution derives from the `send` spans,
+    // which carry exactly the messages and bytes the rank records count.
+    let sends = analysis::distribution(&trace, "send", |s| s.arg1 as u64).expect("sends traced");
+    let sent = |f: fn(&RankStepComm) -> u64| rec.ranks.iter().map(f).sum::<u64>();
+    assert_eq!(sends.count as u64, sent(|r| r.sent_messages));
+    let span_bytes: i64 = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "send")
+        .map(|s| s.arg1)
+        .sum();
+    assert_eq!(span_bytes as u64, sent(|r| r.sent_bytes));
     let s = serde_json::to_string(rec).unwrap();
     let back: StepRecord = serde_json::from_str(&s).unwrap();
     assert_eq!(back.step, rec.step);
     assert_eq!(back.ranks.len(), 2);
     assert_eq!(back.ranks[1].sent_bytes, rec.ranks[1].sent_bytes);
     assert_eq!(back.imbalance, rec.imbalance);
-    assert_eq!(back.trace_hists, rec.trace_hists);
-    // Pre-trace records (no imbalance / hists fields) still parse.
-    let sparse: StepRecord = serde_json::from_str(
-        &s.replace("\"imbalance\"", "\"_imbalance\"")
-            .replace("\"trace_hists\"", "\"_trace_hists\""),
-    )
-    .unwrap();
+    // Pre-trace records (no imbalance field) still parse.
+    let sparse: StepRecord =
+        serde_json::from_str(&s.replace("\"imbalance\"", "\"_imbalance\"")).unwrap();
     assert!(sparse.imbalance.is_none());
-    assert!(sparse.trace_hists.is_empty());
 }

@@ -195,14 +195,17 @@ cargo run --release --bin mrpic_prof -- \
 # Traced 2-rank smoke: --trace-out writes Chrome-trace JSON; mrpic_prof
 # validates that it parses and that spans nest correctly per thread
 # track (exit 1 otherwise) and reports imbalance / comm matrix / top
-# spans. While tracing is on, telemetry records carry the per-step
-# histogram summaries.
+# spans, plus the message-bytes and recv-wait distributions derived
+# from the `send` and `recv_wait` spans.
 cargo run --release --bin mrpic_run -- configs/hybrid_target_mr_2d.json \
     target/tier1_smoke_trace_out --steps 20 --ranks 2 \
     --trace-out target/tier1_smoke_trace_out/trace.json
 test -s target/tier1_smoke_trace_out/trace.json
-cargo run --release --bin mrpic_prof -- target/tier1_smoke_trace_out/trace.json
-grep -q '"trace_hists":\[{' target/tier1_smoke_trace_out/telemetry.jsonl
+cargo run --release --bin mrpic_prof -- target/tier1_smoke_trace_out/trace.json \
+    > target/tier1_smoke_trace_out/prof.txt
+cat target/tier1_smoke_trace_out/prof.txt
+grep -Eq '^  send bytes +[1-9]' target/tier1_smoke_trace_out/prof.txt
+grep -Eq '^  recv_wait ns +[1-9]' target/tier1_smoke_trace_out/prof.txt
 
 # Live load-balance gate: the skewed laser-foil config puts every
 # particle in the high-x boxes, so a uniform SFC split starves rank 0.
@@ -229,10 +232,13 @@ grep -q '"lb_adoptions": 0' target/tier1_lb_off/summary.json
 # Balanced counterpart: same domain with the plasma spread uniformly.
 # The armed policy must decline to act (trigger never crosses the
 # threshold, so zero adoptions) and the run must not regress vs --no-lb.
+# Both runs cover the whole deck (142 steps, ~0.6 s each) so the wall
+# gate weighs the armed policy's per-step cost, not host noise on a
+# fraction of a second.
 cargo run --release --bin mrpic_run -- configs/laser_foil_balanced_2d.json \
-    target/tier1_lb_bal_off --steps 40 --ranks 2 --no-lb
+    target/tier1_lb_bal_off --steps 142 --ranks 2 --no-lb
 cargo run --release --bin mrpic_run -- configs/laser_foil_balanced_2d.json \
-    target/tier1_lb_bal_on --steps 40 --ranks 2
+    target/tier1_lb_bal_on --steps 142 --ranks 2
 cargo run --release --bin mrpic_prof -- \
     --compare target/tier1_lb_bal_off/summary.json target/tier1_lb_bal_on/summary.json \
     --only wall_s --threshold 25
