@@ -10,7 +10,7 @@ use mrpic_field::fieldset::FieldSet;
 use mrpic_kernels::constants::{C2, M_E, Q_E};
 use mrpic_kernels::push::gamma_of_u;
 use serde::{Deserialize, Serialize};
-use std::io::Write;
+use std::io::{BufWriter, Write};
 
 /// Kinetic energy of one particle \[J\] given u = gamma v.
 #[inline]
@@ -142,12 +142,12 @@ impl Spectrum {
     }
 
     pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
+        let mut f = BufWriter::new(std::fs::File::create(path)?);
         writeln!(f, "energy_mev,charge_c")?;
         for i in 0..self.bins.len() {
             writeln!(f, "{},{}", self.bin_center(i), self.bins[i])?;
         }
-        Ok(())
+        f.flush()
     }
 }
 
@@ -170,30 +170,21 @@ pub fn write_field_slice(
         FieldPick::B(c) => &fs.b[c],
         FieldPick::J(c) => &fs.j[c],
     };
-    let mut f = std::fs::File::create(path)?;
+    let mut f = BufWriter::new(std::fs::File::create(path)?);
     writeln!(f, "i,k,value")?;
     let dom = fs.domain();
     let mut k = dom.lo.z;
     while k < dom.hi.z {
         let mut i = dom.lo.x;
         while i < dom.hi.x {
-            let p = IntVect::new(i, j, k);
-            // Read from whichever fab holds it.
-            let mut val = None;
-            for bi in 0..fa.nfabs() {
-                if fa.fab(bi).valid_pts().contains(p) {
-                    val = Some(fa.fab(bi).get(0, p));
-                    break;
-                }
-            }
-            if let Some(v) = val {
+            if let Some(v) = fa.at(0, IntVect::new(i, j, k)) {
                 writeln!(f, "{i},{k},{v}")?;
             }
             i += stride;
         }
         k += stride;
     }
-    Ok(())
+    f.flush()
 }
 
 /// Which component to slice.
@@ -462,7 +453,7 @@ impl PhaseSpace2d {
     }
 
     pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
+        let mut f = BufWriter::new(std::fs::File::create(path)?);
         writeln!(f, "ix,iy,weight")?;
         for iy in 0..self.ny {
             for ix in 0..self.nx {
@@ -472,7 +463,7 @@ impl PhaseSpace2d {
                 }
             }
         }
-        Ok(())
+        f.flush()
     }
 }
 

@@ -27,7 +27,7 @@
 
 use mrpic_amr::{BoxArray, CommStats, Fab, FabArray, IndexBox, IntVect, Periodicity};
 use mrpic_field::fieldset::{Dim, FieldSet, GridGeom};
-use mrpic_field::pml::Pml;
+use mrpic_field::pml::{step_fields_with_pml, Pml};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one refinement patch.
@@ -235,30 +235,10 @@ impl MrLevel {
         } else {
             1
         };
+        let dt = dt / nsub as f64;
         for _ in 0..nsub {
-            self.advance_fields_once(dt / nsub as f64);
-        }
-    }
-
-    fn advance_fields_once(&mut self, dt: f64) {
-        for (fs, pml) in [
-            (&mut self.fine, &mut self.fine_pml),
-            (&mut self.coarse, &mut self.coarse_pml),
-        ] {
-            fs.fill_e_boundaries();
-            pml.exchange_e(fs);
-            mrpic_field::yee::advance_b(fs, 0.5 * dt);
-            pml.advance_b(0.5 * dt);
-            fs.fill_b_boundaries();
-            pml.exchange_b(fs);
-            mrpic_field::yee::advance_e(fs, dt);
-            pml.advance_e(dt);
-            fs.fill_e_boundaries();
-            pml.exchange_e(fs);
-            mrpic_field::yee::advance_b(fs, 0.5 * dt);
-            pml.advance_b(0.5 * dt);
-            fs.fill_b_boundaries();
-            pml.exchange_b(fs);
+            step_fields_with_pml(&mut self.fine, &mut self.fine_pml, dt);
+            step_fields_with_pml(&mut self.coarse, &mut self.coarse_pml, dt);
         }
     }
 

@@ -1,6 +1,7 @@
 //! The one run loop every driver shares.
 //!
-//! `mrpic_run` (serial or in-process ranks), each `mrpic_rank` worker and
+//! `mrpic_run` (serial or in-process ranks) and each `mrpic_rank`
+//! worker (both through the run driver `mrpic_obs::Driver::run`), and
 //! every `mrpic-serve` job slice advance a [`Stepper`] through a
 //! [`RunSession`]. The session owns what used to be hand-wired per
 //! driver: the stop rule (`t_end`, a step cap, an optional wall-time
@@ -92,6 +93,10 @@ pub trait Stepper {
     /// Step at which the first recovered rank loss surfaced.
     fn first_loss_step(&self) -> Option<u64> {
         None
+    }
+    /// The run's recovered rank losses and resizes, one report line each.
+    fn event_lines(&self) -> Vec<String> {
+        Vec::new()
     }
 }
 

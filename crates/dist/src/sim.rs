@@ -62,7 +62,8 @@ pub enum StepError {
     NoEpoch(RankLoss),
     /// Restoring the checkpoint epoch failed during recovery.
     Restore(String),
-    /// Rebuilding or rejoining the socket mesh at a new generation failed.
+    /// Joining the socket mesh, or rebuilding it at a new generation,
+    /// failed.
     Mesh {
         generation: u32,
         error: std::io::Error,
@@ -106,7 +107,7 @@ impl std::fmt::Display for StepError {
             StepError::Mesh { generation, error } => {
                 write!(
                     f,
-                    "rebuilding the socket mesh (generation {generation}): {error}"
+                    "building the socket mesh (generation {generation}): {error}"
                 )
             }
             StepError::OverShrink { step, ranks, by } => write!(
@@ -338,9 +339,15 @@ impl DistSim {
     /// peer processes; every other rank runs as a local replica thread.
     /// A `my_rank` outside the current mesh builds a pure local
     /// spectator replica (it joins the wire when a grow includes it).
-    pub fn process_rank(sim: Simulation, mesh: MeshCfg, my_rank: usize) -> std::io::Result<Self> {
+    /// A mesh that cannot be joined is a [`StepError::Mesh`].
+    pub fn process_rank(sim: Simulation, mesh: MeshCfg, my_rank: usize) -> Result<Self, StepError> {
         let eps: Vec<Box<dyn Endpoint>> = if my_rank < mesh.nranks {
-            boxed(proc_transport(&mesh, my_rank)?)
+            boxed(
+                proc_transport(&mesh, my_rank).map_err(|error| StepError::Mesh {
+                    generation: mesh.generation,
+                    error,
+                })?,
+            )
         } else {
             boxed(mem_transport(mesh.nranks))
         };
@@ -685,5 +692,22 @@ impl Stepper for DistSim {
 
     fn first_loss_step(&self) -> Option<u64> {
         self.recovery_log.first().map(|ev| ev.detected_step)
+    }
+
+    fn event_lines(&self) -> Vec<String> {
+        let recoveries = self.recovery_log.iter().map(|ev| {
+            format!(
+                "recovered from rank {} loss at step {} ({:?} phase): rolled back to step {}, \
+                 replayed {} step(s) on {} survivor(s)",
+                ev.dead_rank, ev.detected_step, ev.phase, ev.epoch_step, ev.replayed, ev.survivors,
+            )
+        });
+        let resizes = self.resize_log.iter().map(|ev| {
+            format!(
+                "resized {} -> {} rank(s) at step {}",
+                ev.from, ev.to, ev.step
+            )
+        });
+        recoveries.chain(resizes).collect()
     }
 }

@@ -572,8 +572,9 @@ fn for_rows(region: &IndexBox, mut f: impl FnMut(i64, i64, i64, usize)) {
 
 /// One full field step of an interior set terminated by this PML
 /// (B half / E / B half with all interface exchanges). The PIC driver
-/// re-implements this sequence to interleave deposition; tests and the
-/// field-only examples use this helper.
+/// re-implements this sequence to interleave deposition; the MR patch
+/// levels (fine and coarse, per sub-step), the tests and the field-only
+/// examples use this helper.
 pub fn step_fields_with_pml(fs: &mut FieldSet, pml: &mut Pml, dt: f64) {
     fs.fill_e_boundaries();
     pml.exchange_e(fs);

@@ -1,12 +1,19 @@
-//! The observer stack both CLI drivers arm around their step loop: the
-//! flight recorder with its panic dump and SIGUSR1 poll, the per-rank
-//! metrics samplers, and at the end the telemetry sync and the
-//! guard-trip or transport-loss dump. Every piece folds the one result a
-//! step has: its `StepRecord`, the latest entry of the telemetry.
+//! The one run driver: `mrpic_run` (serial or in-process ranks) and
+//! each `mrpic_rank` worker of a socket/tcp mesh hand their simulation
+//! to [`Driver::run`], which opens the telemetry sink, arms the
+//! observer stack, steps the shared `RunSession`, reports, and writes
+//! the output set. So every transport produces the same files.
+//!
+//! The observer stack is the flight recorder with its panic dump and
+//! SIGUSR1 poll, the per-rank metrics samplers, the energy diagnostics,
+//! and at the end the telemetry sync and the guard-trip or
+//! transport-loss dump. Every piece folds the one result a step has:
+//! its `StepRecord`, the latest entry of the telemetry.
 
 use std::path::Path;
 
-use mrpic_core::run::{Exit, Stepper};
+use mrpic_core::diag::{electron_spectrum, write_field_slice, FieldPick, TimeSeries};
+use mrpic_core::run::{Exit, RunSession, Stepper};
 use mrpic_core::sim::Simulation;
 
 use crate::recorder::{
@@ -26,8 +33,159 @@ pub enum Publish {
     Own(Box<dyn FnMut(RankMetrics)>),
 }
 
+/// One driver process's run, as [`Driver::run`] executes it.
+pub struct Driver<'a> {
+    /// This process's rank. Every rank arms its flight recorder into
+    /// `outdir`; rank 0 alone reports: the telemetry sink, the energy
+    /// and end-of-run lines, the output set and `summary.json`.
+    pub rank: usize,
+    pub outdir: &'a Path,
+    /// Prefix of the driver's stderr lines.
+    pub label: &'a str,
+    pub publish: Publish,
+    /// Publish samples every this many steps.
+    pub interval: u64,
+    /// Energy diagnostics every this many steps (0 = none), as
+    /// `RunConfig::diag_interval`.
+    pub diag_interval: u64,
+}
+
+impl Driver<'_> {
+    /// Run `sim` to the end of `session`: open the telemetry sink, arm
+    /// the observer stack, turn `sim` into the stepper with `build` (its
+    /// error ends the run like a step's), step it with the recorder and
+    /// samplers, then `extra`, then the energy diagnostics observing
+    /// each step, then report, write the output set (`energy.json`,
+    /// `spectrum_<species>.csv`, `ex/ey/bz.csv`, `summary.json`) and
+    /// finish. Returns the run's exit.
+    pub fn run<S: Stepper, E: std::fmt::Display + Into<Exit>>(
+        self,
+        mut sim: Simulation,
+        build: impl FnOnce(Simulation) -> Result<S, E>,
+        mut session: RunSession,
+        extra: &mut [&mut dyn FnMut(&mut S)],
+    ) -> Exit {
+        let (outdir, label) = (self.outdir, self.label);
+        let reports = self.rank == 0;
+        if reports {
+            if let Err(e) = std::fs::create_dir_all(outdir) {
+                eprintln!("{label}cannot create output dir {}: {e}", outdir.display());
+                return Exit::Usage;
+            }
+            if let Err(e) = sim.telemetry.open_jsonl(&outdir.join("telemetry.jsonl")) {
+                eprintln!("{label}warning: cannot open telemetry sink: {e}");
+            }
+        }
+        let mut obs = DriverObs::arm(self.rank, outdir, label, self.publish, self.interval);
+        let mut s = match build(sim) {
+            Ok(s) => s,
+            Err(e) => return obs.abort(e),
+        };
+        let ranks = s.nranks();
+        let diag_interval = if reports { self.diag_interval } else { 0 };
+        let mut energy = TimeSeries::new("total_energy_joules");
+        let mut each_step = |s: &mut S| {
+            obs.observe(s);
+            for observe in extra.iter_mut() {
+                observe(s);
+            }
+            let sim = s.sim();
+            if diag_interval > 0 && sim.istep.is_multiple_of(diag_interval) {
+                let (fe, ke) = sim.total_energy();
+                energy.push(sim.time, fe + ke);
+                println!(
+                    "step {:6} | t = {:9.3e} s | E_field = {:9.3e} J | E_kin = {:9.3e} J | np = {}",
+                    sim.istep,
+                    sim.time,
+                    fe,
+                    ke,
+                    sim.total_particles(),
+                );
+            }
+        };
+        if let Err(e) = session.run(&mut s, u64::MAX, &mut [&mut each_step]) {
+            return obs.abort(e);
+        }
+        if reports {
+            report(&session, &s);
+            if let Err((what, e)) = write_outputs(&session, &s, &energy, ranks, outdir) {
+                eprintln!("{label}cannot write {what}: {e}");
+                return Exit::Usage;
+            }
+        }
+        obs.finish(s.sim_mut())
+    }
+}
+
+/// The end-of-run lines: wall time, imbalance, LB adoptions, the
+/// stepper's recovery/resize events and the phase totals.
+fn report<S: Stepper>(session: &RunSession, s: &S) {
+    let wall = session.wall_seconds;
+    let sim = s.sim();
+    println!(
+        "done: {} steps in {:.1} s wall ({:.1} ms/step)",
+        sim.istep,
+        wall,
+        1e3 * wall / sim.istep.max(1) as f64,
+    );
+    if let Some(x) = session.mean_imbalance() {
+        println!("mean telemetry imbalance: {x:.3}");
+    }
+    if session.lb_adoptions > 0 {
+        println!("live LB: adopted {} rebalance(s)", session.lb_adoptions);
+    }
+    for line in s.event_lines() {
+        println!("{line}");
+    }
+    let ph = sim.telemetry.phase_totals();
+    println!(
+        "phase seconds (last {} steps): gather {:.3} | push {:.3} | deposit {:.3} | sum {:.3} \
+         | maxwell {:.3} | fill {:.3} | mr {:.3} | other {:.3}",
+        sim.telemetry.records().len(),
+        ph.gather,
+        ph.push,
+        ph.deposit,
+        ph.sum,
+        ph.maxwell,
+        ph.fill,
+        ph.mr,
+        ph.other,
+    );
+}
+
+/// Write the run's output set into `outdir`; an error names the file.
+fn write_outputs<S: Stepper>(
+    session: &RunSession,
+    s: &S,
+    energy: &TimeSeries,
+    ranks: usize,
+    outdir: &Path,
+) -> Result<(), (&'static str, std::io::Error)> {
+    let sim = s.sim();
+    energy
+        .write_json(&outdir.join("energy.json"))
+        .map_err(|e| ("energy.json", e))?;
+    for (si, sp) in sim.species.iter().enumerate() {
+        electron_spectrum(&sim.parts[si], 50.0, 100)
+            .write_csv(&outdir.join(format!("spectrum_{}.csv", sp.name)))
+            .map_err(|e| ("spectrum csv", e))?;
+    }
+    for (name, pick) in [
+        ("ex", FieldPick::E(0)),
+        ("ey", FieldPick::E(1)),
+        ("bz", FieldPick::B(2)),
+    ] {
+        write_field_slice(&sim.fs, pick, 0, &outdir.join(format!("{name}.csv")), 1)
+            .map_err(|e| ("field slice csv", e))?;
+    }
+    session
+        .summary(s, ranks)
+        .write(&outdir.join("summary.json"))
+        .map_err(|e| ("summary.json", e))
+}
+
 /// The observability plane of one driver process.
-pub struct DriverObs {
+struct DriverObs {
     /// Prefix of the driver's stderr lines.
     label: String,
     publish: Publish,
@@ -39,7 +197,7 @@ pub struct DriverObs {
 impl DriverObs {
     /// Arm the flight recorder of `rank` (256 events, dumped to
     /// `<outdir>/blackbox.json`), its panic dump and SIGUSR1.
-    pub fn arm(rank: usize, outdir: &Path, label: &str, publish: Publish, every: u64) -> Self {
+    fn arm(rank: usize, outdir: &Path, label: &str, publish: Publish, every: u64) -> Self {
         install_recorder(FlightRecorder::new(rank, outdir.join("blackbox.json"), 256));
         install_panic_dump();
         arm_sigusr1();
@@ -58,7 +216,7 @@ impl DriverObs {
     /// The per-step observer: the step's record goes into the recorder
     /// and every sampler, samples go out at the cadence, and a pending
     /// SIGUSR1 dumps the recorder.
-    pub fn observe<S: Stepper>(&mut self, s: &S) {
+    fn observe<S: Stepper>(&mut self, s: &S) {
         if let Some(rec) = s.sim().telemetry.last() {
             let record = rec.clone();
             with_recorder(|r| r.push(FlightEvent::Step { record }));
@@ -98,7 +256,7 @@ impl DriverObs {
 
     /// The run ended on a step error: report it, dump the recorder on a
     /// transport loss, and return the exit it maps to.
-    pub fn abort(&self, e: impl std::fmt::Display + Into<Exit>) -> Exit {
+    fn abort(&self, e: impl std::fmt::Display + Into<Exit>) -> Exit {
         eprintln!("{}run aborted: {e}", self.label);
         let exit = e.into();
         if exit == Exit::TransportLoss {
@@ -110,7 +268,7 @@ impl DriverObs {
     /// The run completed: publish one last sample per rank, make the
     /// telemetry durable, and report a guard trip (dumping the
     /// recorder). Returns the run's exit.
-    pub fn finish(&mut self, sim: &mut Simulation) -> Exit {
+    fn finish(&mut self, sim: &mut Simulation) -> Exit {
         self.publish_samples();
         sim.telemetry.sync();
         if let Some(e) = sim.telemetry.write_error() {

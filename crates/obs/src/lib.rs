@@ -18,8 +18,9 @@
 //!   errors, recoveries and resizes, and dumps it as `blackbox.json` on
 //!   guard trip, rank loss, panic, or SIGUSR1 — so a crashed rank no
 //!   longer takes its last seconds of context to the grave.
-//! - [`DriverObs`] is the stack both CLI drivers arm around their step
-//!   loop: the recorder, the rank samplers, and the end-of-run reports.
+//! - [`Driver`] is the one run driver both CLI binaries call: it arms
+//!   the recorder and the rank samplers around the shared step loop,
+//!   and on rank 0 reports and writes the run's output set.
 //!
 //! Sampling is opt-in: with no hub or pusher attached no sampler runs.
 //! The recorder always runs, at one record clone and ring push per step.
@@ -33,7 +34,7 @@ pub mod hub;
 pub mod recorder;
 pub mod snapshot;
 
-pub use driver::{DriverObs, Publish};
+pub use driver::{Driver, Publish};
 pub use expo::{parse as parse_exposition, render as render_exposition, Sample};
 pub use hub::MetricsHub;
 pub use recorder::{

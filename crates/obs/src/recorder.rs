@@ -2,7 +2,7 @@
 //! dumped as `blackbox.json` when something goes wrong.
 //!
 //! Triggers: invariant-guard trip, unrecoverable transport/rank loss,
-//! panic, and SIGUSR1 (all armed by [`crate::DriverObs::arm`]; the
+//! panic, and SIGUSR1 (all armed by [`crate::Driver::run`]; the
 //! signal is polled from the step loop — the handler itself only sets
 //! a flag, so it stays async-signal-safe). Each event
 //! carries the step it happened at; the dump records the rank, mesh

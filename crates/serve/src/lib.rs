@@ -42,5 +42,5 @@ pub use protocol::{
     read_frame, write_frame, Budgets, JobSpec, JobStatus, JobSummary, Request, Response,
     SlotStatus, StatusReport, TenantStatus,
 };
-pub use queue::{schedule_trace, FairQueue, QueuedJob, SimJob};
+pub use queue::{FairQueue, QueuedJob};
 pub use server::{install_termination_handlers, Server, ServerConfig, ServerStats};

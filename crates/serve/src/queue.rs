@@ -16,9 +16,9 @@
 //!    sleeping never banks credit.
 //! 3. **Submission order** — within a tenant, FIFO by sequence number.
 //!
-//! [`schedule_trace`] runs this policy against a virtual clock and
-//! returns the event sequence as strings; `tests/schedule.rs` pins a
-//! three-tenant mixed-priority scenario as a golden schedule.
+//! `crates/serve/tests/schedule.rs` drives this policy through a
+//! one-slot virtual clock and pins a three-tenant mixed-priority
+//! scenario as a golden schedule.
 
 use std::collections::BTreeMap;
 
@@ -185,109 +185,6 @@ impl FairQueue {
     }
 }
 
-/// One job of the virtual-clock schedule fixture.
-#[derive(Clone, Copy, Debug)]
-pub struct SimJob {
-    pub name: &'static str,
-    pub tenant: &'static str,
-    pub priority: i32,
-    /// Service demand in virtual ticks (≙ steps).
-    pub length: u64,
-    /// Submission time on the virtual clock.
-    pub arrive: u64,
-}
-
-/// Run the scheduling policy against a virtual clock: one executor
-/// slot, preemption checks at quantum boundaries only (exactly like the
-/// live server), submissions admitted when the virtual clock reaches
-/// their arrival tick. Returns the event trace — `submit`, `dispatch`,
-/// `resume`, `preempt`, `complete` lines stamped with the virtual time.
-///
-/// No wall clock is consulted anywhere, so the trace is a pure function
-/// of its inputs and can be pinned as a golden schedule.
-pub fn schedule_trace(weights: &[(&str, u64)], jobs: &[SimJob], quantum: u64) -> Vec<String> {
-    assert!(quantum > 0, "quantum must be positive");
-    let mut q = FairQueue::new();
-    for (t, w) in weights {
-        q.set_weight(t, *w);
-    }
-    let mut events = Vec::new();
-    let mut remaining: Vec<u64> = jobs.iter().map(|j| j.length).collect();
-    let mut admitted = vec![false; jobs.len()];
-    let mut dispatched_before = vec![false; jobs.len()];
-    let mut vt: u64 = 0;
-    let mut running: Option<QueuedJob> = None;
-
-    fn admit(
-        q: &mut FairQueue,
-        jobs: &[SimJob],
-        admitted: &mut [bool],
-        vt: u64,
-        events: &mut Vec<String>,
-    ) {
-        for (i, j) in jobs.iter().enumerate() {
-            if !admitted[i] && j.arrive <= vt {
-                admitted[i] = true;
-                q.push(i as u64, j.tenant, j.priority);
-                events.push(format!("t={} submit {}", j.arrive, j.name));
-            }
-        }
-    }
-
-    loop {
-        admit(&mut q, jobs, &mut admitted, vt, &mut events);
-        if running.is_none() {
-            match q.pop() {
-                Some(qj) => {
-                    let i = qj.job_id as usize;
-                    let verb = if dispatched_before[i] {
-                        "resume"
-                    } else {
-                        "dispatch"
-                    };
-                    dispatched_before[i] = true;
-                    events.push(format!("t={vt} {verb} {}", jobs[i].name));
-                    running = Some(qj);
-                }
-                None => {
-                    // Idle: jump to the next arrival, or stop.
-                    let next = jobs
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !admitted[*i])
-                        .map(|(_, j)| j.arrive)
-                        .min();
-                    match next {
-                        Some(t) => {
-                            vt = t;
-                            continue;
-                        }
-                        None => break,
-                    }
-                }
-            }
-        }
-        let qj = running.clone().expect("a job is running");
-        let i = qj.job_id as usize;
-        let run = quantum.min(remaining[i]);
-        vt += run;
-        remaining[i] -= run;
-        q.charge(&qj.tenant, run);
-        admit(&mut q, jobs, &mut admitted, vt, &mut events);
-        if remaining[i] == 0 {
-            q.finish(&qj.tenant);
-            events.push(format!("t={vt} complete {}", jobs[i].name));
-            running = None;
-        } else if q.would_preempt(qj.priority, &qj.tenant) {
-            events.push(format!("t={vt} preempt {}", jobs[i].name));
-            q.requeue(qj);
-            running = None;
-        }
-        // Otherwise the same job keeps its slot for another quantum.
-    }
-    events
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,30 +287,5 @@ mod tests {
         assert_eq!(q.depth(), 0);
         let lanes = q.lane_states();
         assert_eq!(lanes[0].2, 0, "lane active count back to zero");
-    }
-
-    #[test]
-    fn schedule_trace_is_deterministic() {
-        let weights = [("a", 1u64), ("b", 2u64)];
-        let jobs = [
-            SimJob {
-                name: "a1",
-                tenant: "a",
-                priority: 0,
-                length: 25,
-                arrive: 0,
-            },
-            SimJob {
-                name: "b1",
-                tenant: "b",
-                priority: 0,
-                length: 25,
-                arrive: 0,
-            },
-        ];
-        let t1 = schedule_trace(&weights, &jobs, 10);
-        let t2 = schedule_trace(&weights, &jobs, 10);
-        assert_eq!(t1, t2);
-        assert!(t1.iter().any(|e| e.contains("preempt")));
     }
 }

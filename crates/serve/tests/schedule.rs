@@ -1,13 +1,116 @@
 //! Golden schedule for the weighted-fair, priority-preemptive policy.
 //!
-//! Runs [`schedule_trace`] — the same `FairQueue` the live server uses,
+//! Runs [`schedule_trace`] — the `FairQueue` the live server uses,
 //! driven by a virtual clock with preemption checks only at quantum
 //! boundaries — against a three-tenant, mixed-priority scenario and pins
 //! the complete event sequence. The trace is a pure function of its
 //! inputs (no wall clock, all-integer pass arithmetic), so any change to
 //! the scheduling policy shows up as an exact diff in this file.
 
-use mrpic_serve::{schedule_trace, SimJob};
+use mrpic_serve::{FairQueue, QueuedJob};
+
+/// One job of the virtual-clock scenario.
+#[derive(Clone, Copy, Debug)]
+struct SimJob {
+    name: &'static str,
+    tenant: &'static str,
+    priority: i32,
+    /// Service demand in virtual ticks (≙ steps).
+    length: u64,
+    /// Submission time on the virtual clock.
+    arrive: u64,
+}
+
+/// Run the scheduling policy against a virtual clock: one executor
+/// slot, preemption checks at quantum boundaries only (exactly like the
+/// live server), submissions admitted when the virtual clock reaches
+/// their arrival tick. Returns the event trace — `submit`, `dispatch`,
+/// `resume`, `preempt`, `complete` lines stamped with the virtual time.
+///
+/// No wall clock is consulted anywhere, so the trace is a pure function
+/// of its inputs and can be pinned as a golden schedule.
+fn schedule_trace(weights: &[(&str, u64)], jobs: &[SimJob], quantum: u64) -> Vec<String> {
+    assert!(quantum > 0, "quantum must be positive");
+    let mut q = FairQueue::new();
+    for (t, w) in weights {
+        q.set_weight(t, *w);
+    }
+    let mut events = Vec::new();
+    let mut remaining: Vec<u64> = jobs.iter().map(|j| j.length).collect();
+    let mut admitted = vec![false; jobs.len()];
+    let mut dispatched_before = vec![false; jobs.len()];
+    let mut vt: u64 = 0;
+    let mut running: Option<QueuedJob> = None;
+
+    fn admit(
+        q: &mut FairQueue,
+        jobs: &[SimJob],
+        admitted: &mut [bool],
+        vt: u64,
+        events: &mut Vec<String>,
+    ) {
+        for (i, j) in jobs.iter().enumerate() {
+            if !admitted[i] && j.arrive <= vt {
+                admitted[i] = true;
+                q.push(i as u64, j.tenant, j.priority);
+                events.push(format!("t={} submit {}", j.arrive, j.name));
+            }
+        }
+    }
+
+    loop {
+        admit(&mut q, jobs, &mut admitted, vt, &mut events);
+        if running.is_none() {
+            match q.pop() {
+                Some(qj) => {
+                    let i = qj.job_id as usize;
+                    let verb = if dispatched_before[i] {
+                        "resume"
+                    } else {
+                        "dispatch"
+                    };
+                    dispatched_before[i] = true;
+                    events.push(format!("t={vt} {verb} {}", jobs[i].name));
+                    running = Some(qj);
+                }
+                None => {
+                    // Idle: jump to the next arrival, or stop.
+                    let next = jobs
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| !admitted[*i])
+                        .map(|(_, j)| j.arrive)
+                        .min();
+                    match next {
+                        Some(t) => {
+                            vt = t;
+                            continue;
+                        }
+                        None => break,
+                    }
+                }
+            }
+        }
+        let qj = running.clone().expect("a job is running");
+        let i = qj.job_id as usize;
+        let run = quantum.min(remaining[i]);
+        vt += run;
+        remaining[i] -= run;
+        q.charge(&qj.tenant, run);
+        admit(&mut q, jobs, &mut admitted, vt, &mut events);
+        if remaining[i] == 0 {
+            q.finish(&qj.tenant);
+            events.push(format!("t={vt} complete {}", jobs[i].name));
+            running = None;
+        } else if q.would_preempt(qj.priority, &qj.tenant) {
+            events.push(format!("t={vt} preempt {}", jobs[i].name));
+            q.requeue(qj);
+            running = None;
+        }
+        // Otherwise the same job keeps its slot for another quantum.
+    }
+    events
+}
 
 /// Three tenants (b pays for double weight), mixed priorities, arrivals
 /// staggered so the trace exercises: FIFO within a tenant, stride

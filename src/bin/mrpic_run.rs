@@ -20,10 +20,10 @@
 //! processes: this binary becomes a supervisor that spawns one
 //! `mrpic_rank` worker per rank, meshed over Unix-domain sockets in a
 //! private directory under the outdir (or TCP loopback ports from
-//! `--tcp-base`). Rank 0's worker writes the usual `telemetry.jsonl` and
-//! `summary.json` — including a `state_digest` field that must match the
-//! in-process transport bit for bit. Socket files are removed once the
-//! mesh is up; the supervisor deletes the mesh directory on exit.
+//! `--tcp-base`). Rank 0's worker writes the same output set as an
+//! in-process run — `summary.json`'s `state_digest` and the CSVs match
+//! the in-process transport bit for bit. Socket files are removed once
+//! the mesh is up; the supervisor deletes the mesh directory on exit.
 //!
 //! `--elastic grow:STEP:K,shrink:STEP:K` schedules rank-count changes
 //! mid-run (any transport): at each trigger step the runtime takes a
@@ -71,11 +71,12 @@
 //! SOCKET` prints a server status snapshot and exits.
 //!
 //! Exit codes (local and submit mode alike) are the `core::run::Exit`
-//! contract. The local step loop is the library `RunSession` that
-//! `mrpic_rank` workers and `mrpic-serve` jobs also run; an unrecoverable
-//! rank loss comes back from it as a `dist::StepError` value (never a
-//! panic) and maps to 4, and a supervisor folds its workers' statuses
-//! by the enum's severity order (2 beats 4 beats 3 beats 0):
+//! contract. A local run is the library run driver `obs::Driver::run`
+//! that `mrpic_rank` workers also call, around the `RunSession` step
+//! loop `mrpic-serve` jobs run too; an unrecoverable rank loss comes
+//! back from it as a `dist::StepError` value (never a panic) and maps
+//! to 4, and a supervisor folds its workers' statuses by the enum's
+//! severity order (2 beats 4 beats 3 beats 0):
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -84,15 +85,17 @@
 //! | 3    | the NaN/Inf invariant guard tripped (locally, or in the remote job's summary) |
 //! | 4    | transport loss: unrecoverable rank loss in a `--ranks` run, or the connection/job was lost after the server accepted it |
 
+use std::convert::Infallible;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use mrpic::core::config::RunConfig;
-use mrpic::core::diag::{electron_spectrum, write_field_slice, FieldPick, TimeSeries};
 use mrpic::core::run::{Exit, RunSession, Stepper};
-use mrpic::dist::{elastic_peak, parse_elastic_plan, DistSim, FaultPlan};
-use mrpic::obs::{DriverObs, MetricsHub, Publish};
+use mrpic::core::sim::Simulation;
+use mrpic::dist::{elastic_peak, parse_elastic_plan, DistSim, FaultPlan, StepError};
+use mrpic::obs::{Driver, MetricsHub, Publish};
 use mrpic::serve::{fetch_status, submit_job, Budgets, ClientError, JobSpec};
+use mrpic::usage_error;
 
 /// Parsed command line (see the module docs).
 struct Cli {
@@ -115,11 +118,6 @@ struct Cli {
     metrics_out: Option<PathBuf>,
     metrics_interval: u64,
     poison_step: Option<u64>,
-}
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(Exit::Usage.code());
 }
 
 /// The next argument parsed as `T`, or exit 2 with `msg`.
@@ -477,9 +475,6 @@ fn main() {
             c.cost_source, c.threshold, c.patience, c.horizon,
         );
     }
-    if let Err(e) = sim.telemetry.open_jsonl(&outdir.join("telemetry.jsonl")) {
-        eprintln!("warning: cannot open telemetry sink: {e}");
-    }
     println!(
         "mrpic_run: {}x{}x{} cells, {} species, {} lasers, {} particles, {} rank(s), dt = {:.3e} s",
         cfg.cells[0],
@@ -497,46 +492,33 @@ fn main() {
     // every exchange over the in-process transport (fault-injected when
     // a chaos plan is active).
     let exit = if cli.ranks > 1 || elastic.is_some() {
-        let mut d = match &cli.fault_plan {
-            Some(plan) => {
+        let dist = |sim| {
+            let mut d = match &cli.fault_plan {
+                Some(plan) => {
+                    println!(
+                        "chaos transport: seed {}, delay {}‰, corrupt {}‰, transient {}‰, crash {:?}",
+                        plan.seed,
+                        plan.delay_per_mille,
+                        plan.corrupt_per_mille,
+                        plan.transient_per_mille,
+                        plan.crash,
+                    );
+                    DistSim::with_fault_injection(sim, cli.ranks, plan.clone())
+                }
+                None => DistSim::in_process(sim, cli.ranks),
+            };
+            if let Some(events) = elastic {
                 println!(
-                    "chaos transport: seed {}, delay {}‰, corrupt {}‰, transient {}‰, crash {:?}",
-                    plan.seed,
-                    plan.delay_per_mille,
-                    plan.corrupt_per_mille,
-                    plan.transient_per_mille,
-                    plan.crash,
+                    "elastic plan: {} rank-count change(s) scheduled",
+                    events.len()
                 );
-                DistSim::with_fault_injection(sim, cli.ranks, plan.clone())
+                d.set_elastic_plan(events)?;
             }
-            None => DistSim::in_process(sim, cli.ranks),
+            Ok::<_, StepError>(d)
         };
-        if let Some(events) = elastic {
-            println!(
-                "elastic plan: {} rank-count change(s) scheduled",
-                events.len()
-            );
-            if let Err(e) = d.set_elastic_plan(events) {
-                usage_error(&format!("bad --elastic plan: {e}"));
-            }
-        }
-        let exit = run_local(&mut d, session, &cli, &cfg, &outdir);
-        for ev in &d.recovery_log {
-            println!(
-                "recovered from rank {} loss at step {} ({:?} phase): rolled back to step {}, \
-                 replayed {} step(s) on {} survivor(s)",
-                ev.dead_rank, ev.detected_step, ev.phase, ev.epoch_step, ev.replayed, ev.survivors,
-            );
-        }
-        for ev in &d.resize_log {
-            println!(
-                "resized {} -> {} rank(s) at step {}",
-                ev.from, ev.to, ev.step
-            );
-        }
-        exit
+        run_local(&cli, &cfg, &outdir, sim, dist, session)
     } else {
-        run_local(&mut sim, session, &cli, &cfg, &outdir)
+        run_local(&cli, &cfg, &outdir, sim, Ok::<_, Infallible>, session)
     };
     if exit != Exit::Clean {
         std::process::exit(exit.code());
@@ -603,162 +585,87 @@ fn submit(cli: &Cli, sock: &Path, cfg: RunConfig, outdir: &Path, elastic: bool) 
     }
 }
 
-/// Run the in-process stepper `s` to completion through the shared
-/// session, with this binary's observers (flight recorder, metrics
-/// samplers, `--poison-step`, trace draining, energy diagnostics), then
-/// write the run's outputs.
-fn run_local<S: Stepper>(
-    s: &mut S,
-    mut session: RunSession,
+/// Run the in-process stepper `build` makes of `sim` through the shared
+/// run driver, with this binary's extra observers (`--poison-step`,
+/// trace draining) and metrics hub, then write the trace and the
+/// metrics snapshot when asked.
+fn run_local<S: Stepper, E: std::fmt::Display + Into<Exit>>(
     cli: &Cli,
     cfg: &RunConfig,
     outdir: &Path,
+    sim: Simulation,
+    build: impl FnOnce(Simulation) -> Result<S, E>,
+    session: RunSession,
 ) -> Exit {
-    // Observability plane. The flight recorder is always armed: a
-    // bounded ring of recent step records and fault events, written to
-    // blackbox.json only on failure or SIGUSR1. The metrics hub (and
-    // its per-rank samplers) only exists when a consumer asked for it.
+    // The metrics hub (and its per-rank samplers) only exists when a
+    // consumer asked for it.
     let hub =
         (cli.metrics_addr.is_some() || cli.metrics_out.is_some()).then(|| MetricsHub::new("run"));
     if let (Some(hub), Some(addr)) = (&hub, &cli.metrics_addr) {
         serve_metrics(hub, addr, outdir);
     }
-    let publish = hub.clone().map_or(Publish::Off, Publish::Hub);
-    let mut obs = DriverObs::arm(0, outdir, "", publish, cli.metrics_interval);
-    let mut energy_ts = TimeSeries::new("total_energy_joules");
-    let run = {
-        let mut poison = |s: &mut S| {
-            if cli.poison_step == Some(s.sim().istep) {
-                // Deterministic guard-trip harness: a NaN planted in Ex
-                // must surface as a trip on the next step.
-                let fab = s.sim_mut().fs.e[0].fab_mut(0);
-                let lo = fab.valid_pts().lo;
-                fab.set(0, lo, f64::NAN);
-                println!(
-                    "step {}: poisoned Ex (expect a guard trip next step)",
-                    s.sim().istep
-                );
-            }
-        };
-        // Drain the per-thread trace rings once per step so short-lived
-        // rank/worker threads never wrap them.
-        let mut trace = |_: &mut S| {
-            if cli.trace_out.is_some() {
-                mrpic::trace::collect();
-            }
-        };
-        let mut diag = |s: &mut S| {
-            let sim = s.sim();
-            if cfg.diag_interval > 0 && sim.istep.is_multiple_of(cfg.diag_interval) {
-                let (fe, ke) = sim.total_energy();
-                energy_ts.push(sim.time, fe + ke);
-                println!(
-                    "step {:6} | t = {:9.3e} s | E_field = {:9.3e} J | E_kin = {:9.3e} J | np = {}",
-                    sim.istep,
-                    sim.time,
-                    fe,
-                    ke,
-                    sim.total_particles(),
-                );
-            }
-        };
-        session.run(
-            s,
-            u64::MAX,
-            &mut [
-                &mut |s: &mut S| obs.observe(s),
-                &mut poison,
-                &mut trace,
-                &mut diag,
-            ],
-        )
+    let driver = Driver {
+        rank: 0,
+        outdir,
+        label: "",
+        publish: hub.clone().map_or(Publish::Off, Publish::Hub),
+        interval: cli.metrics_interval,
+        diag_interval: cfg.diag_interval,
     };
-    if let Err(e) = run {
-        return obs.abort(e);
-    }
-    let wall = session.wall_seconds;
-    let sim = s.sim();
-    println!(
-        "done: {} steps in {:.1} s wall ({:.1} ms/step)",
-        sim.istep,
-        wall,
-        1e3 * wall / sim.istep.max(1) as f64,
-    );
-    if let Some(x) = session.mean_imbalance() {
-        println!("mean telemetry imbalance: {x:.3}");
-    }
-    if session.lb_adoptions > 0 {
-        println!("live LB: adopted {} rebalance(s)", session.lb_adoptions);
-    }
-    let ph = sim.telemetry.phase_totals();
-    println!(
-        "phase seconds (last {} steps): gather {:.3} | push {:.3} | deposit {:.3} | sum {:.3} \
-         | maxwell {:.3} | fill {:.3} | mr {:.3} | other {:.3}",
-        sim.telemetry.records().len(),
-        ph.gather,
-        ph.push,
-        ph.deposit,
-        ph.sum,
-        ph.maxwell,
-        ph.fill,
-        ph.mr,
-        ph.other,
-    );
-    if let Some(tp) = &cli.trace_out {
-        mrpic::trace::disable();
-        let trace = mrpic::trace::take_trace();
-        match mrpic::trace::chrome::write(&trace, tp) {
-            Ok(()) => {
-                println!(
-                    "trace: {} spans ({} dropped) -> {}",
-                    trace.spans.len(),
-                    trace.dropped,
-                    tp.display(),
-                );
-                if let Some(r) = mrpic::trace::analysis::imbalance(&trace) {
-                    println!("trace: rank imbalance (max/mean busy) = {r:.3}");
-                }
-                for a in mrpic::trace::analysis::top_spans(&trace, 5) {
-                    println!(
-                        "trace: {:<12} {:>8}x total {:8.3} s self {:8.3} s",
-                        a.name, a.count, a.total_s, a.self_s,
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: cannot write trace {}: {e}", tp.display()),
+    let mut poison = |s: &mut S| {
+        if cli.poison_step == Some(s.sim().istep) {
+            // Deterministic guard-trip harness: a NaN planted in Ex
+            // must surface as a trip on the next step.
+            let fab = s.sim_mut().fs.e[0].fab_mut(0);
+            let lo = fab.valid_pts().lo;
+            fab.set(0, lo, f64::NAN);
+            println!(
+                "step {}: poisoned Ex (expect a guard trip next step)",
+                s.sim().istep
+            );
         }
-    }
-    // Final diagnostics. IO failures here are environment errors, not
-    // physics failures: report and exit 2 rather than panic.
-    let io_fail = |what: &str, e: std::io::Error| -> ! {
-        usage_error(&format!("cannot write {what}: {e}"));
     };
-    energy_ts
-        .write_json(&outdir.join("energy.json"))
-        .unwrap_or_else(|e| io_fail("energy.json", e));
-    for (si, sp) in sim.species.iter().enumerate() {
-        let spec = electron_spectrum(&sim.parts[si], 50.0, 100);
-        spec.write_csv(&outdir.join(format!("spectrum_{}.csv", sp.name)))
-            .unwrap_or_else(|e| io_fail("spectrum csv", e));
+    // Drain the per-thread trace rings once per step so short-lived
+    // rank/worker threads never wrap them.
+    let mut trace = |_: &mut S| {
+        if cli.trace_out.is_some() {
+            mrpic::trace::collect();
+        }
+    };
+    let exit = driver.run(sim, build, session, &mut [&mut poison, &mut trace]);
+    if let Some(tp) = &cli.trace_out {
+        write_trace(tp);
     }
-    for (name, pick) in [
-        ("ex", FieldPick::E(0)),
-        ("ey", FieldPick::E(1)),
-        ("bz", FieldPick::B(2)),
-    ] {
-        write_field_slice(&sim.fs, pick, 0, &outdir.join(format!("{name}.csv")), 1)
-            .unwrap_or_else(|e| io_fail("field slice csv", e));
-    }
-    session
-        .summary(s, cli.ranks)
-        .write(&outdir.join("summary.json"))
-        .unwrap_or_else(|e| io_fail("summary.json", e));
-    // One last sample per rank and a durable telemetry sink, then the
-    // one-shot metrics JSON file when requested.
-    let exit = obs.finish(s.sim_mut());
     if let (Some(hub), Some(path)) = (&hub, &cli.metrics_out) {
         write_metrics(hub, path);
     }
     println!("outputs in {}", outdir.display());
     exit
+}
+
+/// Stop tracing and write the Chrome trace to `tp`, with its headline
+/// imbalance and top spans.
+fn write_trace(tp: &Path) {
+    mrpic::trace::disable();
+    let trace = mrpic::trace::take_trace();
+    match mrpic::trace::chrome::write(&trace, tp) {
+        Ok(()) => {
+            println!(
+                "trace: {} spans ({} dropped) -> {}",
+                trace.spans.len(),
+                trace.dropped,
+                tp.display(),
+            );
+            if let Some(r) = mrpic::trace::analysis::imbalance(&trace) {
+                println!("trace: rank imbalance (max/mean busy) = {r:.3}");
+            }
+            for a in mrpic::trace::analysis::top_spans(&trace, 5) {
+                println!(
+                    "trace: {:<12} {:>8}x total {:8.3} s self {:8.3} s",
+                    a.name, a.count, a.total_s, a.self_s,
+                );
+            }
+        }
+        Err(e) => eprintln!("warning: cannot write trace {}: {e}", tp.display()),
+    }
 }

@@ -38,6 +38,13 @@ pub use mrpic_trace as trace;
 /// Workspace version string.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
+/// Report a usage, config or IO error of a run driver (`mrpic_run`,
+/// `mrpic_rank`) on stderr and exit 2 (`core::run::Exit::Usage`).
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(core::run::Exit::Usage.code());
+}
+
 /// End a printing CLI's write to stdout (`mrpic_run --serve-status`,
 /// `mrpic_top`, `mrpic_prof`): a reader that closed the pipe early
 /// (`| head`, `| grep -q`) is a clean exit 0, not the panic `print!`

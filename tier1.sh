@@ -47,18 +47,26 @@ test -s target/tier1_smoke_out/telemetry.jsonl
 # the step's wall time.
 grep -q '"other":' target/tier1_smoke_out/telemetry.jsonl
 
+# The multi-rank smokes below run a 4-box variant of the same config,
+# so every rank owns boxes (on the 1-box deck rank 1 owns nothing).
+sed '1s/^{$/{\n  "max_box": [64, 1, 96],/' configs/hybrid_target_mr_2d.json \
+    > target/tier1_four_box.json
+grep -q '"max_box": \[64, 1, 96\]' target/tier1_four_box.json
+
 # Same config through the mrpic-dist multi-rank runtime (2 rank threads
 # over the in-process message-passing transport).
-cargo run --release --bin mrpic_run -- configs/hybrid_target_mr_2d.json \
+cargo run --release --bin mrpic_run -- target/tier1_four_box.json \
     target/tier1_smoke_dist_out --steps 40 --ranks 2
 test -s target/tier1_smoke_dist_out/telemetry.jsonl
 
 # Socket-transport smoke: the same slice again, but the two ranks are
 # real OS processes (`mrpic_rank` workers) meshed over Unix-domain
 # sockets. The run must be guard-clean, publish the same bitwise state
-# digest as the in-process transport, and leave no socket files behind
-# (the supervisor removes the whole mesh directory).
-cargo run --release --bin mrpic_run -- configs/hybrid_target_mr_2d.json \
+# digest as the in-process transport, write the same diagnostics
+# byte for byte, and leave no socket files behind (the supervisor
+# removes the whole mesh directory). Rank 1 must have done particle
+# work on every step.
+cargo run --release --bin mrpic_run -- target/tier1_four_box.json \
     target/tier1_smoke_sock_out --steps 40 --ranks 2 --transport socket
 test -s target/tier1_smoke_sock_out/telemetry.jsonl
 grep -q '"guard_trips": 0' target/tier1_smoke_sock_out/summary.json
@@ -66,12 +74,19 @@ MEM_DIGEST=$(grep -o '"state_digest": "[0-9a-f]*"' target/tier1_smoke_dist_out/s
 SOCK_DIGEST=$(grep -o '"state_digest": "[0-9a-f]*"' target/tier1_smoke_sock_out/summary.json)
 test -n "$MEM_DIGEST" && test "$MEM_DIGEST" = "$SOCK_DIGEST"
 test -z "$(find target/tier1_smoke_sock_out -name '*.sock' -o -name '.mesh-*' 2>/dev/null)"
+for CSV in ex.csv ey.csv bz.csv $(cd target/tier1_smoke_dist_out && echo spectrum_*.csv); do
+    cmp target/tier1_smoke_dist_out/$CSV target/tier1_smoke_sock_out/$CSV
+done
+R1_PARTICLE_S=$(grep -o '"rank":1,[^}]*' target/tier1_smoke_sock_out/telemetry.jsonl \
+    | grep -o '"particle_seconds":[0-9.e+-]*' | cut -d: -f2)
+test "$(echo "$R1_PARTICLE_S" | grep -c .)" = 40
+if echo "$R1_PARTICLE_S" | awk '$1 == 0 { zero = 1 } END { exit !zero }'; then exit 1; fi
 
 # Elastic smoke: grow 2 -> 4 ranks at step 20 of the same slice. The
 # resize must be recorded in the summary, the per-step rank_count in the
 # telemetry must actually change, and the final state must still be the
 # bitwise state every other transport produced.
-cargo run --release --bin mrpic_run -- configs/hybrid_target_mr_2d.json \
+cargo run --release --bin mrpic_run -- target/tier1_four_box.json \
     target/tier1_smoke_elastic_out --steps 40 --ranks 2 --elastic grow:20:2
 grep -q '"resizes": 1' target/tier1_smoke_elastic_out/summary.json
 grep -q '"final_ranks": 4' target/tier1_smoke_elastic_out/summary.json
